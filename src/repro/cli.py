@@ -310,8 +310,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         forwarded += ["--select", args.select]
     if args.cache:
         forwarded += ["--cache"]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
     if args.no_baseline:
         forwarded += ["--no-baseline"]
     if args.write_baseline:
@@ -803,8 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rule ids")
     lint.add_argument("--cache", action="store_true",
                       help="enable the incremental analysis cache")
-    lint.add_argument("--jobs", type=int, default=None,
-                      help="parallel parse workers")
     lint.add_argument("--no-baseline", action="store_true",
                       help="ignore the checked-in baseline")
     lint.add_argument("--write-baseline", action="store_true",

@@ -16,8 +16,7 @@ determinism taint, REP008 spec payload safety) run over a
 :class:`~repro.lint.project.ProjectModel` built from the whole tree in
 one pass, and their results are cacheable per tree hash.  With
 ``--cache``, a second run over an unchanged tree re-parses and
-re-analyses nothing (see :mod:`repro.lint.cache`); file reading,
-hashing, and parsing are fanned out over a thread pool (``--jobs``).
+re-analyses nothing (see :mod:`repro.lint.cache`).
 
 The runner resolves the repo root (nearest ancestor of the first
 scanned path containing ``PAPER.md`` or ``pyproject.toml``) to locate
@@ -31,14 +30,12 @@ from __future__ import annotations
 
 import argparse
 import ast
-import concurrent.futures
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.baseline import (
     BASELINE_FILENAME,
@@ -74,8 +71,6 @@ _PER_FILE_RULES = {
 _PROJECT_RULES = ("REP002", "REP003", "REP007", "REP008")
 
 _ROOT_MARKERS = ("PAPER.md", "pyproject.toml", ".git")
-
-_DEFAULT_JOBS = min(8, os.cpu_count() or 1)
 
 
 def discover_root(start: Path) -> Path:
@@ -141,31 +136,6 @@ class _FileEntry:
     from_cache: bool = False
 
 
-def _parallel_map(
-    worker: Callable[[_FileEntry], None],
-    entries: Sequence[_FileEntry],
-    jobs: int,
-) -> None:
-    """Apply ``worker`` to every entry, fanning out when worthwhile.
-
-    Results are written onto the entries themselves, so ordering is
-    preserved regardless of completion order.  A worker that raises
-    leaves its entry untouched (reported downstream as REP000) rather
-    than losing the whole run.
-    """
-    if jobs <= 1 or len(entries) < 2:
-        for entry in entries:
-            worker(entry)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, entry) for entry in entries]
-        for future in futures:
-            try:
-                future.result()
-            except Exception:  # pragma: no cover - defensive
-                pass
-
-
 def _read_entry(entry: _FileEntry) -> None:
     try:
         entry.data = entry.path.read_bytes()
@@ -176,17 +146,21 @@ def _read_entry(entry: _FileEntry) -> None:
 
 
 def _parse_entry(entry: _FileEntry) -> None:
+    """Parse one file; undecodable or invalid source becomes REP000.
+
+    Any other failure is a fault of the analyzer, not of the file, so
+    it propagates, naming the file.
+    """
     entry.parsed = True
     if entry.data is None:
         return
     try:
         source = entry.data.decode("utf-8")
-    except UnicodeDecodeError:
-        return
-    try:
         tree = ast.parse(source, filename=str(entry.path))
-    except (SyntaxError, ValueError):
+    except (SyntaxError, ValueError):  # includes UnicodeDecodeError
         return
+    except Exception as exc:
+        raise RuntimeError(f"could not parse {entry.display}: {exc!r}") from exc
     entry.ctx = FileContext(
         path=entry.path,
         display_path=entry.display,
@@ -234,7 +208,6 @@ def lint_paths(
     allow: Sequence[str] = (),
     paper: Optional[str] = None,
     docs: Optional[str] = None,
-    jobs: Optional[int] = None,
     cache: bool = False,
     cache_dir: Optional[str] = None,
     baseline: Optional[str] = None,
@@ -259,7 +232,6 @@ def lint_paths(
         paper=Path(paper) if paper else None,
         docs=Path(docs) if docs else None,
     )
-    jobs = _DEFAULT_JOBS if jobs is None else max(1, jobs)
 
     report = LintReport(rules_run=[r for r in ALL_RULES if r in config.select])
     cwd = Path.cwd()
@@ -272,7 +244,8 @@ def lint_paths(
         entries.append(_FileEntry(path=file_path, display=display))
     report.files_scanned = len(entries)
 
-    _parallel_map(_read_entry, entries, jobs)
+    for entry in entries:
+        _read_entry(entry)
 
     per_file_selected = [
         r for r in _PER_FILE_RULES if r in config.select
@@ -311,7 +284,8 @@ def lint_paths(
         for e in entries
         if (e.findings is None or need_project_pass) and e.data is not None
     ]
-    _parallel_map(_parse_entry, to_parse, jobs)
+    for entry in to_parse:
+        _parse_entry(entry)
     report.cache_hits = sum(1 for e in entries if e.from_cache)
     report.files_reanalyzed = sum(1 for e in entries if e.parsed)
 
@@ -486,13 +460,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--docs", default=None, help="override docs/ location (REP002)"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallel read/parse workers (default: min(8, cpus))",
-    )
-    parser.add_argument(
         "--cache",
         action="store_true",
         help="enable the incremental analysis cache "
@@ -554,7 +521,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         allow=args.allow,
         paper=args.paper,
         docs=args.docs,
-        jobs=args.jobs,
         cache=args.cache,
         cache_dir=args.cache_dir,
         baseline=args.baseline,

@@ -274,6 +274,27 @@ class Batch2DPartition(Batch2DAdversary):
         )
 
 
+def _row_count(mask: np.ndarray) -> np.ndarray:
+    """``mask.sum(axis=1)`` as int64, accumulated in int32 (faster)."""
+    return mask.sum(axis=1, dtype=np.int32).astype(np.int64)
+
+
+def _first_k(members: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The first ``k[i]`` members of row ``i``, in pid order.
+
+    Reads them off the row-major list of member positions: one scan
+    of ``members`` plus work per victim, where a running count would
+    add over every pid.  Needs ``0 <= k[i] <= members[i].sum()``.
+    """
+    counts = _row_count(members)
+    pos = np.flatnonzero(members)
+    # Victim j of row i is pos[counts[:i].sum() + j].
+    offset = np.repeat(np.cumsum(counts) - counts - (np.cumsum(k) - k), k)
+    out = np.zeros(members.size, dtype=bool)
+    out[pos[offset + np.arange(offset.size)]] = True
+    return out.reshape(members.shape)
+
+
 class Batch2DEngine:
     """Two-axis vectorized executor: M trials × n processes per op.
 
@@ -282,6 +303,18 @@ class Batch2DEngine:
     configuration, per-trial budget enforcement, fault model resolved
     by name, no sanitizer, seeds passed to :meth:`run`); the adversary
     is a :class:`Batch2DAdversary`.
+
+    Per-process state (bits, stages, flags, decisions) is always
+    ``(M, n)``.  The per-receiver tallies (the round's ones and zeros
+    received, and the three-round history of totals that the cascade
+    and STOP rule read) are held per *trial*, ``(M, 1)``, while every
+    receiver of a trial hears the same broadcasts: in every
+    counts-form round, and in every mask round without a recipient
+    split.  A mask round whose after-send victims reach only a
+    ``recipients`` mask makes that round's tallies per *process*,
+    ``(M, n)``.  The history keeps them for the three rounds it looks
+    back, then narrows again.  NumPy broadcasting runs both shapes
+    through the same code.
     """
 
     def __init__(
@@ -374,7 +407,7 @@ class Batch2DEngine:
         tent = np.zeros((M, n), dtype=bool)
         stage = np.full((M, n), STAGE_PROBABILISTIC, dtype=np.int8)
         decision = np.full((M, n), -1, dtype=np.int8)
-        det_rounds = np.zeros((M, n), dtype=np.int64)
+        det_rounds = np.zeros((M, n), dtype=np.int32)
         det_has0 = np.zeros((M, n), dtype=bool)
         det_has1 = np.zeros((M, n), dtype=bool)
         active = np.ones(M, dtype=bool)
@@ -383,9 +416,10 @@ class Batch2DEngine:
         rounds = np.zeros(M, dtype=np.int64)
 
         # Per-receiver N^{r-1}/N^{r-2}/N^{r-3} for cascade and STOP.
-        prev1 = np.full((M, n), n, dtype=np.int64)
-        prev2 = np.full((M, n), n, dtype=np.int64)
-        prev3 = np.full((M, n), n, dtype=np.int64)
+        # Each is (M, 1) while every receiver of a trial heard the same
+        # broadcasts, (M, n) for three rounds after a split delivery;
+        # never written in place, so the shift below can alias them.
+        prev1 = prev2 = prev3 = np.full((M, 1), n, dtype=np.int32)
 
         hist_totals: List[np.ndarray] = []
         crashes_hist: List[np.ndarray] = []
@@ -399,7 +433,6 @@ class Batch2DEngine:
         threshold = deterministic_stage_threshold(n)
         det_total = proto.det_stage_rounds(n)
         coin_stride = (n + 63) // 64
-        rows = np.arange(M)[:, None]
 
         r = 0
         while active.any():
@@ -413,10 +446,9 @@ class Batch2DEngine:
                 break
 
             senders = alive & ~halted & active[:, None]
-            p = senders.sum(axis=1)
+            p = _row_count(senders)
             ones_mask = senders & (b == 1)
-            zeros_mask = senders & ~(b == 1)
-            s1 = ones_mask.sum(axis=1)
+            s1 = _row_count(ones_mask)
             s0 = p - s1
             trial_stage = np.min(
                 stage,
@@ -436,7 +468,7 @@ class Batch2DEngine:
                 sender_count=p,
                 ones=s1,
                 zeros=s0,
-                tentative_count=(tent & senders).sum(axis=1),
+                tentative_count=_row_count(tent & senders),
                 budget_remaining=t - budget_used,
                 received_totals=tuple(hist_totals),
                 active=active,
@@ -467,6 +499,12 @@ class Batch2DEngine:
                 adv_view = view
             dec = self.adversary.choose(adv_view)
 
+            # Per trial: killed1/killed0 silent victims and a1/a0
+            # after-send victims by bit.  Crash kinds remove them from
+            # ``alive`` here; ``senders`` and ``ones_mask`` keep the
+            # round's start.
+            a1 = a0 = 0
+            rmask = None
             if dec.is_counts:
                 k1 = np.where(
                     active, np.asarray(dec.kill_ones, dtype=np.int64), 0
@@ -487,17 +525,20 @@ class Batch2DEngine:
                         f"({int(k1[i])}, {int(k0[i])}) for trial {i} with "
                         f"ones={int(s1[i])}, zeros={int(s0[i])}"
                     )
-                # First-k members of each class in pid order — the
-                # scalar engine's victim rule, so counts adversaries
-                # are bit-identical across all three engines.
-                silent = (
-                    ones_mask & (np.cumsum(ones_mask, axis=1) <= k1[:, None])
-                ) | (
-                    zeros_mask & (np.cumsum(zeros_mask, axis=1) <= k0[:, None])
-                )
-                after = None
-                rmask = None
+                killed1, killed0 = k1, k0
                 injected = k1 + k0
+                if not omission:
+                    # First-k members of each class in pid order — the
+                    # scalar engine's victim rule, so counts adversaries
+                    # are bit-identical across all three engines.  Only
+                    # the rows with kills in a class are searched.
+                    hit = np.flatnonzero(k1)
+                    if hit.size:
+                        alive[hit] &= ~_first_k(ones_mask[hit], k1[hit])
+                    hit = np.flatnonzero(k0)
+                    if hit.size:
+                        zeros_hit = senders[hit] & ~ones_mask[hit]
+                        alive[hit] &= ~_first_k(zeros_hit, k0[hit])
             else:
                 silent = dec.silent & senders
                 after = (
@@ -518,10 +559,20 @@ class Batch2DEngine:
                             f"batch2d adversary targeted non-senders in "
                             f"trial {i}"
                         )
-                rmask = dec.recipients
-                injected = silent.sum(axis=1) + (
-                    after.sum(axis=1) if after is not None else 0
-                )
+                killed1 = _row_count(silent & ones_mask)
+                injected = _row_count(silent)
+                killed0 = injected - killed1
+                if not omission:
+                    alive &= ~silent
+                if after is not None:
+                    a1 = _row_count(after & ones_mask)
+                    a_all = _row_count(after)
+                    a0 = a_all - a1
+                    injected = injected + a_all
+                    if not omission:
+                        alive &= ~after
+                    if dec.recipients is not None and a_all.any():
+                        rmask = dec.recipients
 
             if omission:
                 ledger.charge(injected)
@@ -537,49 +588,47 @@ class Batch2DEngine:
             crashes_hist.append(injected)
             senders_hist.append(p.copy())
 
-            # Delivery: common full broadcasts plus (optionally) the
-            # after-send victims' messages to the shared recipient mask.
-            killed1 = (silent & ones_mask).sum(axis=1)
-            killed0 = (silent & zeros_mask).sum(axis=1)
-            if after is not None:
-                a1 = (after & ones_mask).sum(axis=1)
-                a0 = (after & zeros_mask).sum(axis=1)
-            else:
-                a1 = np.zeros(M, dtype=np.int64)
-                a0 = np.zeros(M, dtype=np.int64)
+            # Delivery: the common full broadcasts reach every receiver
+            # of a trial, so its tallies stay (M, 1).  After-send
+            # victims' last messages reach only the recipient mask,
+            # which widens them to (M, n) for this round.
             f1 = s1 - killed1 - a1
             f0 = s0 - killed0 - a0
             hist_totals.append(f1 + f0)
-            if after is not None and rmask is not None:
-                rcv1 = f1[:, None] + np.where(rmask, a1[:, None], 0)
-                rcv0 = f0[:, None] + np.where(rmask, a0[:, None], 0)
-            else:
-                rcv1 = np.broadcast_to(f1[:, None], (M, n))
-                rcv0 = np.broadcast_to(f0[:, None], (M, n))
+            rcv1 = f1.astype(np.int32)[:, None]
+            rcv0 = f0.astype(np.int32)[:, None]
+            if rmask is not None:
+                rcv1 = np.where(rmask, rcv1 + a1[:, None].astype(np.int32), rcv1)
+                rcv0 = np.where(rmask, rcv0 + a0[:, None].astype(np.int32), rcv0)
             received = rcv1 + rcv0
 
-            if not omission:
-                victims = silent if after is None else silent | after
-                alive &= ~victims
             receivers = alive & ~halted & active[:, None]
 
-            st = stage.copy()  # pre-round stages (transitions one-way)
-            prob = receivers & (st == STAGE_PROBABILISTIC)
-            handoff = prob & bool(proto.det_handoff) & (received < threshold)
-            stage[handoff] = STAGE_SYNC
-            prob_cont = prob & ~handoff
+            # Stage masks from the pre-round stages (transitions are
+            # one-way, so no process moves twice in a round).
+            prob = receivers & (stage == STAGE_PROBABILISTIC)
+            syncm = receivers & (stage == STAGE_SYNC)
+            det = receivers & (stage == STAGE_DETERMINISTIC)
+            if proto.det_handoff:
+                handoff = prob & (received < threshold)
+                stage[handoff] = STAGE_SYNC
+                prob_cont = prob & ~handoff
+            else:
+                prob_cont = prob
 
             # STOP rule for tentative deciders (needs a live receiver).
             stop_cand = prob_cont & tent & (received > 0)
-            stopped = stop_cand & (
-                prev3 - received <= prev2 * proto.stop_fraction
-            )
-            decision[stopped] = b[stopped]
-            halted[stopped] = True
-            tent[stop_cand] = False
+            cascade = prob_cont
+            if stop_cand.any():
+                stopped = stop_cand & (
+                    prev3 - received <= prev2 * proto.stop_fraction
+                )
+                decision[stopped] = b[stopped]
+                halted |= stopped
+                tent &= ~stop_cand
+                cascade = prob_cont & ~stopped
 
             # Threshold cascade (first matching branch wins).
-            cascade = prob_cont & ~stopped
             if cascade.any():
                 rem = cascade.copy()
                 b_dec1 = rem & (rcv1 > proto.decide_hi * prev1)
@@ -596,51 +645,48 @@ class Batch2DEngine:
                 b_prop0 = rem & (rcv1 < proto.propose_lo * prev1)
                 flip = rem & ~b_prop0
 
-                b[b_dec1 | b_prop1 | b_bias] = 1
-                b[b_dec0 | b_prop0] = 0
-                tent[b_dec1 | b_dec0] = True
+                # Bits are 0/1, so in-place or/and set and clear them.
+                b |= b_dec1 | b_prop1 | b_bias
+                b &= ~(b_dec0 | b_prop0)
+                tent |= b_dec1 | b_dec0
                 if flip.any():
                     # Rank j (pid order) reads bit j of the round's
                     # word block: the exact bit set fair_binomial
                     # popcounts, hence bit-identical 1-D/2-D coins.
-                    ranks = np.cumsum(flip, axis=1) - 1
-                    safe = np.where(flip, ranks, 0)
+                    # Each row's flippers take its first bits in order.
                     words = counter_words(
                         coin_keys, r * coin_stride, coin_stride
                     )
-                    sel = words[rows, safe >> 6]
-                    coinbits = (
-                        (sel >> (safe & 63).astype(np.uint64)) & np.uint64(1)
-                    ).astype(np.int8)
-                    b[flip] = coinbits[flip]
+                    coins = np.unpackbits(
+                        words.astype("<u8").view(np.uint8),
+                        axis=1,
+                        bitorder="little",
+                    )
+                    ranked = (
+                        np.arange(coins.shape[1]) < _row_count(flip)[:, None]
+                    )
+                    b[flip] = coins[ranked]
 
             # SYNC: one-round delay — inbox ignored, bits frozen, flood
             # set starts empty.
-            syncm = receivers & (st == STAGE_SYNC)
-            stage[syncm] = STAGE_DETERMINISTIC
-            det_rounds[syncm] = 0
-            det_has0[syncm] = False
-            det_has1[syncm] = False
+            if syncm.any():
+                stage[syncm] = STAGE_DETERMINISTIC
+                det_rounds[syncm] = 0
+                det_has0[syncm] = False
+                det_has1[syncm] = False
 
             # Deterministic flooding over the two frozen bit values.
-            det = receivers & (st == STAGE_DETERMINISTIC)
-            det_has1 |= det & (rcv1 > 0)
-            det_has0 |= det & (rcv0 > 0)
-            det_rounds[det] += 1
-            finish = det & (det_rounds >= det_total) & (received > 0)
-            decision[finish] = np.where(
-                det_has0, 0, np.where(det_has1, 1, 0)
-            )[finish]
-            halted[finish] = True
+            if det.any():
+                det_has1 |= det & (rcv1 > 0)
+                det_has0 |= det & (rcv0 > 0)
+                det_rounds[det] += 1
+                finish = det & (det_rounds >= det_total) & (received > 0)
+                if finish.any():
+                    # Decide 0 if a 0 was seen, else 1 if a 1 was.
+                    decision[finish] = det_has1[finish] & ~det_has0[finish]
+                    halted |= finish
 
-            # Shift the per-receiver tally history window.
-            prev3, prev2, prev1 = (
-                prev2,
-                prev1,
-                np.ascontiguousarray(
-                    np.broadcast_to(received, (M, n))
-                ).astype(np.int64),
-            )
+            prev3, prev2, prev1 = prev2, prev1, received
 
             # A trial ends when no alive process is undecided — which
             # covers every-tentative-stopped, deterministic finish, and
@@ -674,7 +720,7 @@ class Batch2DEngine:
             decision_round=decision_round,
             decision=common,
             crashes_used=budget_used,
-            survivors=alive.sum(axis=1),
+            survivors=_row_count(alive),
             terminated=decision_round >= 0,
             crashes_per_round=crashes,
             senders_per_round=senders_rounds,

@@ -1,6 +1,6 @@
 """Differential + semantic gates for the two-axis (M, n) engine.
 
-Three tiers, matching the engine's parity contract:
+Four tiers, matching the engine's parity contract:
 
 * **Exact 1-D/2-D agreement.**  A counts-form adversary lifted via
   ``Batch2DCounts`` must produce **bit-for-bit** the trajectories of
@@ -8,13 +8,17 @@ Three tiers, matching the engine's parity contract:
   assigns flip rank ``j`` the ``j``-th bit of the round's word block,
   the exact bit set ``fair_binomial`` popcounts.  Checked for every
   ported adversary under every batch-realised fault model (crash,
-  send-omission, late), seed for seed, on coin-flipping mixed inputs.
+  send-omission, late), seed for seed, on coin-flipping mixed inputs,
+  at a one-word (n = 48) and a three-word (n = 130) coin block.
 
 * **Mask semantics.**  After-send victims with an empty recipient mask
   are behaviourally identical to silent victims; with a full recipient
   mask their last message lands everywhere first, which changes the
   trajectory.  Plus the budget, stray-target, and invalid-counts
   sanitizers.
+
+* **Mask-path goldens.**  Split-delivery runs have no 1-D reference,
+  so exact recorded results pin them.
 
 * **Budget invariants.**  A Hypothesis property: no adversary/fault
   combination ever reports ``crashes_used > t`` for any trial.
@@ -23,6 +27,8 @@ The kernel-backend registry rides along: the numba kernel must be
 word-identical to the numpy path when numba is importable, and
 selecting it without numba must be a loud configuration error.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -61,17 +67,20 @@ def _mixed_inputs(n):
     return [i % 2 for i in range(n)]
 
 
+_RESULT_FIELDS = (
+    "rounds",
+    "decision_round",
+    "decision",
+    "crashes_used",
+    "survivors",
+    "terminated",
+    "crashes_per_round",
+    "senders_per_round",
+)
+
+
 def _assert_results_equal(a, b, label=""):
-    for field in (
-        "rounds",
-        "decision_round",
-        "decision",
-        "crashes_used",
-        "survivors",
-        "terminated",
-        "crashes_per_round",
-        "senders_per_round",
-    ):
+    for field in _RESULT_FIELDS:
         fa, fb = getattr(a, field), getattr(b, field)
         assert np.array_equal(fa, fb), f"{label}: {field} diverged"
 
@@ -90,36 +99,49 @@ _FAULT_MODELS = {
 }
 
 
+#: Widths for the exact gates: n = 48 fits one 64-bit coin word per
+#: round; n = 130 spans three, so flip ranks >= 64 read later words.
+#: The one-word cases keep their unsuffixed ids.
+_EXACT_CASES = [
+    pytest.param(
+        name, fault, n, id=f"{name}-{fault}" + ("" if n == 48 else f"-n{n}")
+    )
+    for n in (48, 130)
+    for name in sorted(_ADVERSARIES)
+    for fault in sorted(_FAULT_MODELS)
+]
+
+
 class TestExact1D2DAgreement:
-    """Every ported adversary x every batch fault model: the lifted
-    2-D run equals the 1-D run bit-for-bit, coins and histories
-    included."""
+    """Every ported adversary x every batch fault model x both coin
+    widths: the lifted 2-D run equals the 1-D run bit-for-bit, coins
+    and histories included."""
 
     M = 16
     N = 48
     T = 16
 
-    @pytest.mark.parametrize("fault", sorted(_FAULT_MODELS))
-    @pytest.mark.parametrize("name", sorted(_ADVERSARIES))
-    def test_lifted_counts_adversary_is_bit_identical(self, name, fault):
+    @pytest.mark.parametrize("name,fault,n", _EXACT_CASES)
+    def test_lifted_counts_adversary_is_bit_identical(self, name, fault, n):
         seeds = list(range(self.M))
-        inputs = _mixed_inputs(self.N)
+        inputs = _mixed_inputs(n)
         model = _FAULT_MODELS[fault]
+        t = n // 3
         one_d = BatchFastEngine(
             SynRanProtocol(),
-            _ADVERSARIES[name](self.T),
-            self.N,
+            _ADVERSARIES[name](t),
+            n,
             fault_model=model,
             strict_termination=False,
         ).run(inputs, seeds)
         two_d = Batch2DEngine(
             SynRanProtocol(),
-            Batch2DCounts(_ADVERSARIES[name](self.T)),
-            self.N,
+            Batch2DCounts(_ADVERSARIES[name](t)),
+            n,
             fault_model=model,
             strict_termination=False,
         ).run(inputs, seeds)
-        _assert_results_equal(one_d, two_d, f"{name}/{fault}")
+        _assert_results_equal(one_d, two_d, f"{name}/{fault}/n={n}")
 
     def test_per_trial_input_matrix(self):
         # (M, n) inputs: trial i flips the parity of trial 0's vector.
@@ -170,6 +192,41 @@ class _OneShotMask(Batch2DAdversary):
         return Batch2DDecision.masks(
             silent=np.zeros((M, n), dtype=bool),
             after_send=mask,
+            recipients=recipients,
+        )
+
+
+class _PeriodicSplit(Batch2DAdversary):
+    """Tally-attack counts rounds with a split mask round every fifth.
+
+    On a split round, the first sender of each trial with budget left
+    is an after-send victim heard only by pids below ``n // 3``, so the
+    round's receivers tally different counts.  The four counts rounds
+    in between are long enough for the split to leave the three-round
+    tally history before the next one.
+    """
+
+    name = "test-periodic-split"
+
+    def __init__(self, t):
+        super().__init__(t)
+        self.inner = BatchTallyAttack(t)
+
+    def reset(self, n, seeds):
+        self.inner.reset(n, seeds)
+
+    def choose(self, view):
+        if view.round_index % 5:
+            k1, k0 = self.inner.choose(view.counts_view())
+            return Batch2DDecision.counts(k1, k0)
+        M, n = view.senders.shape
+        room = view.active & (view.budget_remaining > 0)
+        first = view.senders & (np.cumsum(view.senders, axis=1) == 1)
+        recipients = np.zeros((M, n), dtype=bool)
+        recipients[:, : n // 3] = True
+        return Batch2DDecision.masks(
+            silent=np.zeros((M, n), dtype=bool),
+            after_send=first & room[:, None],
             recipients=recipients,
         )
 
@@ -226,6 +283,216 @@ class TestMaskSemantics:
     def test_partition_fraction_validated(self):
         with pytest.raises(ConfigurationError):
             Batch2DPartition(4, fraction=1.5)
+
+
+# ----------------------------------------------------------------------
+# Mask-path goldens
+# ----------------------------------------------------------------------
+
+#: ``(adversary, fault, n) -> (digest, rows)`` for 8 trials (seeds
+#: 0..7) on mixed inputs.  ``digest`` is :func:`_result_digest` of the
+#: whole :class:`BatchResult`; each row is one trial's ``[rounds,
+#: decision_round, decision, crashes_used, survivors, terminated]`` so
+#: a mismatch says where it starts.  Mask-form decisions have no 1-D
+#: counterpart to diff against, so these values pin them instead.
+MASK_GOLDENS = {
+    ("partition", "crash", 48): (
+        "392c8d4c4f05e90039d9889d01b592e5c5c569e0bae6376397448938a0301a72",
+        [
+            [7, 6, 0, 7, 41, 1],
+            [15, 14, 0, 12, 36, 1],
+            [4, 3, 0, 4, 44, 1],
+            [4, 3, 0, 4, 44, 1],
+            [4, 3, 0, 4, 44, 1],
+            [4, 3, 0, 4, 44, 1],
+            [4, 3, 0, 4, 44, 1],
+            [3, 2, 0, 3, 45, 1],
+        ],
+    ),
+    ("partition", "crash", 130): (
+        "d43ddd5a01f5576d97ddc9865e6c95288e924b0c4be961a91542ee1b45c70967",
+        [
+            [4, 3, 0, 4, 126, 1],
+            [4, 3, 0, 4, 126, 1],
+            [4, 3, 0, 4, 126, 1],
+            [4, 3, 0, 4, 126, 1],
+            [4, 3, 0, 4, 126, 1],
+            [4, 3, 0, 4, 126, 1],
+            [4, 3, 0, 4, 126, 1],
+            [4, 3, 0, 4, 126, 1],
+        ],
+    ),
+    ("partition", "late", 48): (
+        "cc5458ed73c8d723fd28ed5625597b90867586147b41391eba04d6dc98512be4",
+        [
+            [5, 4, 0, 3, 45, 1],
+            [5, 4, 0, 3, 45, 1],
+            [4, 3, 0, 2, 46, 1],
+            [4, 3, 0, 2, 46, 1],
+            [4, 3, 0, 2, 46, 1],
+            [5, 4, 0, 3, 45, 1],
+            [4, 3, 0, 2, 46, 1],
+            [3, 2, 0, 2, 46, 1],
+        ],
+    ),
+    ("partition", "late", 130): (
+        "eb1b34a1ed3929fb7c95078d0e2f3b29dfee70640e751ce0e28fa87b1f0b63e8",
+        [
+            [4, 3, 0, 2, 128, 1],
+            [4, 3, 0, 2, 128, 1],
+            [4, 3, 0, 2, 128, 1],
+            [4, 3, 0, 2, 128, 1],
+            [4, 3, 0, 2, 128, 1],
+            [5, 4, 0, 3, 127, 1],
+            [4, 3, 0, 2, 128, 1],
+            [4, 3, 0, 2, 128, 1],
+        ],
+    ),
+    ("partition", "send-omission", 48): (
+        "85393202907491a16345ffb7628c35e1ecd6a4a1fbb473ce3f91dcbb5ee97ec3",
+        [
+            [5, 4, 0, 1, 48, 1],
+            [5, 4, 0, 1, 48, 1],
+            [4, 3, 0, 1, 48, 1],
+            [4, 3, 0, 1, 48, 1],
+            [4, 3, 0, 1, 48, 1],
+            [5, 4, 0, 1, 48, 1],
+            [8, 7, 0, 1, 48, 1],
+            [3, 2, 0, 1, 48, 1],
+        ],
+    ),
+    ("partition", "send-omission", 130): (
+        "6071dd526bb2983277dd3d901978cf11ad67564d6d9069243957520b3393a6f5",
+        [
+            [4, 3, 0, 1, 130, 1],
+            [4, 3, 0, 1, 130, 1],
+            [4, 3, 0, 1, 130, 1],
+            [4, 3, 0, 1, 130, 1],
+            [4, 3, 0, 1, 130, 1],
+            [4, 3, 0, 1, 130, 1],
+            [4, 3, 0, 1, 130, 1],
+            [4, 3, 0, 1, 130, 1],
+        ],
+    ),
+    ("periodic-split", "crash", 48): (
+        "c500d2d456675f9256bae20680c2d996d8836c45eb414d73896f6682ad717cb4",
+        [
+            [16, 15, 0, 17, 31, 1],
+            [11, 10, 0, 13, 35, 1],
+            [16, 15, 0, 21, 27, 1],
+            [16, 15, 0, 21, 27, 1],
+            [16, 15, 0, 21, 27, 1],
+            [11, 10, 0, 13, 35, 1],
+            [16, 15, 0, 21, 27, 1],
+            [6, 5, 0, 7, 41, 1],
+        ],
+    ),
+    ("periodic-split", "crash", 130): (
+        "7270e25be3776c0f3821292988b69d21222f85943a776f91516988e7729645ea",
+        [
+            [16, 15, 0, 49, 81, 1],
+            [16, 15, 0, 49, 81, 1],
+            [16, 15, 0, 49, 81, 1],
+            [16, 15, 0, 49, 81, 1],
+            [16, 15, 0, 49, 81, 1],
+            [11, 10, 0, 28, 102, 1],
+            [16, 15, 0, 49, 81, 1],
+            [16, 15, 0, 49, 81, 1],
+        ],
+    ),
+    ("periodic-split", "late", 48): (
+        "d10c83e91ab89692615a6b9066fe0af270009e7eecf4d803aa53c3402b8f0a48",
+        [
+            [7, 6, 0, 2, 46, 1],
+            [5, 4, 0, 1, 47, 1],
+            [4, 3, 0, 1, 47, 1],
+            [4, 3, 0, 1, 47, 1],
+            [4, 3, 0, 1, 47, 1],
+            [5, 4, 0, 1, 47, 1],
+            [4, 3, 0, 1, 47, 1],
+            [3, 2, 0, 1, 47, 1],
+        ],
+    ),
+    ("periodic-split", "late", 130): (
+        "159cd6760ca86147d0728add17fbab9c8aa5976828d82a26765955176a8d38d1",
+        [
+            [4, 3, 0, 1, 129, 1],
+            [4, 3, 0, 1, 129, 1],
+            [4, 3, 0, 1, 129, 1],
+            [4, 3, 0, 1, 129, 1],
+            [4, 3, 0, 1, 129, 1],
+            [5, 4, 0, 1, 129, 1],
+            [4, 3, 0, 1, 129, 1],
+            [4, 3, 0, 1, 129, 1],
+        ],
+    ),
+    ("periodic-split", "send-omission", 48): (
+        "5efe60620d2f2ea65ae2ebe86384cefe8d878266230ed4580666f3b77c06c813",
+        [
+            [11, 10, 0, 5, 48, 1],
+            [6, 5, 0, 5, 48, 1],
+            [6, 5, 0, 6, 48, 1],
+            [6, 5, 0, 6, 48, 1],
+            [6, 5, 0, 6, 48, 1],
+            [6, 5, 0, 5, 48, 1],
+            [6, 5, 0, 6, 48, 1],
+            [6, 5, 0, 6, 48, 1],
+        ],
+    ),
+    ("periodic-split", "send-omission", 130): (
+        "d315a00fc6ccd5682958aba92dccc3d26787896569f7af3ec6ebf2423fad427b",
+        [
+            [6, 5, 0, 15, 130, 1],
+            [6, 5, 0, 15, 130, 1],
+            [6, 5, 0, 15, 130, 1],
+            [6, 5, 0, 15, 130, 1],
+            [6, 5, 0, 15, 130, 1],
+            [6, 5, 0, 14, 130, 1],
+            [6, 5, 0, 15, 130, 1],
+            [6, 5, 0, 15, 130, 1],
+        ],
+    ),
+}
+
+_MASK_ADVERSARIES = {
+    "partition": lambda n: Batch2DPartition(n // 4),
+    "periodic-split": lambda n: _PeriodicSplit(n // 2),
+}
+
+
+def _result_digest(result):
+    """sha256 over every field's name, dtype, shape and values."""
+    digest = hashlib.sha256()
+    for field in _RESULT_FIELDS:
+        value = getattr(result, field)
+        digest.update(f"{field}:{value.dtype}:{value.shape}".encode())
+        digest.update(value.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestMaskPathGoldens:
+    """Split-delivery runs reproduce their goldens exactly: the
+    partition adversary, and an adversary whose tallies differ per
+    receiver on every fifth round and agree again in between."""
+
+    @pytest.mark.parametrize(
+        "name,fault,n", sorted(MASK_GOLDENS), ids=lambda v: str(v)
+    )
+    def test_full_result_matches_golden(self, name, fault, n):
+        digest, rows = MASK_GOLDENS[(name, fault, n)]
+        result = Batch2DEngine(
+            SynRanProtocol(),
+            _MASK_ADVERSARIES[name](n),
+            n,
+            fault_model=_FAULT_MODELS[fault],
+            strict_termination=False,
+        ).run(_mixed_inputs(n), list(range(8)))
+        got = np.stack(
+            [getattr(result, f).astype(np.int64) for f in _RESULT_FIELDS[:6]],
+            axis=1,
+        )
+        assert got.tolist() == rows
+        assert _result_digest(result) == digest
 
 
 class _StrayTargeter(Batch2DAdversary):

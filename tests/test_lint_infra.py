@@ -3,8 +3,8 @@
 Covers the incremental analysis cache (a second run over an unchanged
 tree re-analyzes zero files), the baseline workflow, SARIF 2.1.0
 emission validated against a vendored schema subset, ``discover_root``
-edge cases, statement-span pragma suppression, and the REP005
-type-only-import regression tree.
+edge cases, statement-span pragma suppression, the REP005
+type-only-import regression tree, and parse-failure reporting.
 """
 
 import ast
@@ -14,11 +14,12 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
-from repro.lint import lint_paths
+from repro.lint import lint_paths, runner
 from repro.lint.baseline import (
     BASELINE_FILENAME,
     load_baseline,
@@ -411,11 +412,26 @@ class TestTypeOnlyImports:
         assert [f.symbol for f in report.findings] == ["numpy"]
 
 
-class TestCliFormats:
-    def test_jobs_flag_accepted(self):
-        proc = _run_cli("src", "--jobs", "2")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+class TestParseFailures:
+    def test_invalid_source_is_rep000(self, tmp_path):
+        _write_tree(tmp_path, {"PAPER.md": "x\n", "src/bad.py": "def f(:\n"})
+        report = lint_paths([str(tmp_path / "src")])
+        assert [f.rule for f in report.findings] == ["REP000"]
 
+    def test_parser_fault_raises_naming_the_file(self, tmp_path, monkeypatch):
+        # A failure of the parser itself (not of the file) must not be
+        # reported as a false REP000.
+        def broken_parse(source, filename):
+            raise SystemError("AST constructor recursion depth mismatch")
+
+        _write_tree(tmp_path, {"PAPER.md": "x\n", "src/mod.py": "x = 1\n"})
+        monkeypatch.setattr(runner, "ast", SimpleNamespace(parse=broken_parse))
+        with pytest.raises(RuntimeError, match="mod.py") as info:
+            lint_paths([str(tmp_path / "src")])
+        assert isinstance(info.value.__cause__, SystemError)
+
+
+class TestCliFormats:
     def test_text_format_summary_reports_cache_counts(self, tmp_path):
         _write_tree(
             tmp_path,
