@@ -79,8 +79,8 @@ faults:
 # Service gates: the sweep server + worker + RemoteExecutor suite,
 # then the real-subprocess smoke — server plus one worker on ephemeral
 # ports, the same small sweep submitted twice (second must coalesce),
-# clean teardown (docs/service.md).  CI runs this as the service-smoke
-# job.
+# clean teardown (docs/service.md).  CI runs this inside the
+# scheduler-smoke job.
 serve-smoke:
 	python -m pytest tests/test_wire.py tests/test_service.py tests/test_service_resume.py -q
 	python -m repro.service.smoke
@@ -89,14 +89,14 @@ serve-smoke:
 # circuit breakers, and the durable job journal — then the real
 # subprocess smoke with one Byzantine worker behind full audit, whose
 # results must be byte-identical to a fault-free serial run
-# (docs/robustness.md).  CI runs this as the byzantine-smoke job.
+# (docs/robustness.md).  CI runs this inside the scheduler-smoke job.
 byzantine-smoke:
 	python -m pytest tests/test_byzantine.py -q
 	python -m repro.service.smoke --byzantine
 
 # Chaos gates: killed workers, stalled chunks, corrupted cache docs,
 # SIGKILLed mid-batch runs — all byte-identical to fault-free serial
-# (docs/robustness.md).  CI runs this as the chaos-smoke job.
+# (docs/robustness.md).  CI runs this inside the scheduler-smoke job.
 chaos:
 	python -m pytest tests/test_chaos.py tests/test_resilience.py -q
 

@@ -78,7 +78,6 @@ from repro.harness.exec import (
     spec_params,
 )
 from repro.harness.report import Table, render_table
-from repro.sim.kernels import KERNEL_BACKENDS, KERNEL_ENV, resolve_kernel
 from repro.harness.resilience import CHAOS_ENV, FaultPlan, RetryPolicy
 from repro.harness.sweep import Sweep, run_sweep
 from repro.protocols.registry import available_protocols, make_protocol
@@ -173,12 +172,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         build_fast_adversary(spec)
     elif spec.engine in ("batch", "batch2d"):
         build_batch_adversary(spec)
-    if args.kernel is not None:
-        # Fail fast on an unavailable backend, then export it so pool
-        # workers resolve the same kernel (a pure perf knob: it never
-        # enters the spec, so cache keys are engine-identical).
-        resolve_kernel(args.kernel)
-        os.environ[KERNEL_ENV] = args.kernel
     with _make_executor(args, cache_on=args.cache) as executor:
         stats = executor.run_batch(
             TrialBatch(
@@ -605,15 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
             "batch2d = trial x process vectorized with per-recipient "
             "delivery masks (fast/batch/batch2d check structurally, "
             "SynRan-family only)"
-        ),
-    )
-    run.add_argument(
-        "--kernel", choices=sorted(KERNEL_BACKENDS), default=None,
-        help=(
-            "inner-step kernel backend for the batch engine (default: "
-            "numpy, or the REPRO_KERNEL environment variable); "
-            "bit-identical across backends, so results and cache keys "
-            "never depend on it"
         ),
     )
     run.add_argument("--n", type=int, default=64)

@@ -69,6 +69,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 import repro
+from repro.errors import ConfigurationError
 from repro.harness.exec.spec import TrialBatch
 from repro.harness.exec.trial import TrialOutcome, outcomes_digest
 
@@ -86,6 +87,11 @@ _UPGRADABLE_SCHEMA_VERSION = 2
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 
 _CHUNK_DOC_RE = re.compile(r"^chunk-(\d{8})-(\d{8})\.json$")
+
+#: What validating a corrupt (well-formed JSON, wrong shape) document
+#: raises; anything else is a bug and propagates instead of reading as
+#: a cache miss.
+_CORRUPT_DOC = (KeyError, TypeError, ValueError, ConfigurationError)
 
 
 def cache_salt(schema: int = CACHE_SCHEMA_VERSION) -> str:
@@ -190,7 +196,7 @@ class ResultCache:
             if not isinstance(records, list) or len(records) != batch.trials:
                 return None
             outcomes = [TrialOutcome.from_jsonable(rec) for rec in records]
-        except Exception:
+        except _CORRUPT_DOC:
             return None
         outcomes.sort(key=lambda o: o.trial_index)
         if [o.trial_index for o in outcomes] != list(range(batch.trials)):
@@ -390,7 +396,7 @@ class ResultCache:
             if len(indices) != len(records):
                 return None
             outcomes = [TrialOutcome.from_jsonable(rec) for rec in records]
-        except Exception:
+        except _CORRUPT_DOC:
             return None
         if sorted(o.trial_index for o in outcomes) != sorted(indices):
             return None

@@ -2,29 +2,35 @@
 
 The :class:`Executor` base class owns everything shared — cache
 lookup/stores, hit counters, per-batch :class:`BatchReport`
-accounting, aggregation into ``TrialStats`` — and delegates only "run
-these trial indices of this batch" to subclasses:
+accounting, aggregation into ``TrialStats``, chunk geometry — and runs
+each batch's missing chunks through the one :class:`ChunkScheduler`.
+Subclasses only choose the *lanes* the chunks run in.  A lane submits
+one chunk and hands back a future, and keeps its own health rule:
 
-* :class:`SerialExecutor` runs them in-process, in order.
-* :class:`ParallelExecutor` fans chunks of indices out to a
-  ``concurrent.futures.ProcessPoolExecutor``.
+* :class:`SerialExecutor` runs chunks in-process (:class:`LocalLane`).
+* :class:`ParallelExecutor` fans them out to a
+  ``concurrent.futures.ProcessPoolExecutor``, which is its lane.
+* :class:`~repro.service.remote.RemoteExecutor` posts them to HTTP
+  workers, one lane per endpoint.
 
 Because every trial's seed is a pure function of ``(base_seed,
 spec_hash, trial_index)`` and outcomes are re-sorted by trial index
-after collection, the two executors (at any worker count or chunk
-size) produce byte-identical outcome lists — the invariance the test
-suite pins down.
+after collection, the executors (at any worker count or chunk size)
+produce byte-identical outcome lists — the invariance the test suite
+pins down.
 
 Execution is *fail-stop tolerant*, mirroring the failure model of the
-paper itself: a chunk whose worker crashes, whose pool breaks, or
-which stalls past the chunk timeout is retried under a
+paper itself, and the scheduler owns that tolerance once for every
+transport: a chunk whose worker crashes, whose pool breaks, or which
+stalls past the chunk timeout is retried under a
 :class:`~repro.harness.resilience.RetryPolicy` (capped exponential
-backoff with deterministic jitter), completed chunks are checkpointed
-into the cache's partial ledger so an interrupted batch resumes at
-chunk granularity, and a chunk that exhausts its attempts is
-quarantined as a structured :class:`ChunkFailure` instead of killing
-the run.  After enough consecutive pool failures the parallel
-executor degrades to in-process execution rather than give up.
+backoff with deterministic jitter, waited out in the queue while the
+other lanes keep working), completed chunks are checkpointed into the
+cache's partial ledger so an interrupted batch resumes at chunk
+granularity, and a chunk that exhausts its attempts is quarantined as a
+structured :class:`ChunkFailure` instead of killing the run.  Chunks of
+untrusted (remote) lanes are audited, and once every lane is out the
+rest of the batch degrades to in-process execution rather than give up.
 
 Only picklable values cross the process boundary: the frozen spec, the
 base seed, index lists, and the chunk's retry ordinal.  Workers
@@ -35,43 +41,42 @@ rebuild live protocol/adversary objects by name via
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.harness.exec.cache import ResultCache
-from repro.harness.exec.spec import (
-    ENGINE_BATCH,
-    ENGINE_BATCH2D,
-    ExecutionPlan,
-    TrialBatch,
-    TrialSpec,
-)
-from repro.harness.exec.trial import (
-    TrialOutcome,
-    run_spec_batch,
-    run_spec_trial,
-)
+from repro.harness.exec.spec import ExecutionPlan, TrialBatch, TrialSpec
+from repro.harness.exec.trial import TrialOutcome, compute_chunk, outcomes_digest
 from repro.harness.resilience import (
+    AuditPolicy,
     BatchReport,
     ChunkFailure,
     FaultPlan,
     RetryPolicy,
     apply_corruption,
     inject_chunk_faults,
+    reexecute_chunk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.harness.runner import TrialStats
 
 __all__ = [
+    "ChunkScheduler",
     "Executor",
+    "Lane",
+    "LocalLane",
     "ParallelExecutor",
     "SerialExecutor",
     "make_executor",
     "run_chunk",
+    "settle_future",
 ]
+
+Future = concurrent.futures.Future
 
 
 def run_chunk(
@@ -86,9 +91,9 @@ def run_chunk(
     can resolve it by import in every worker; the service tier's
     ``/chunks`` handler (:mod:`repro.service.worker`) executes exactly
     this function too, which is what makes remote execution
-    byte-identical to local.  Batch-engine specs advance the whole
-    slice in one vectorized call; per-trial seeds are pure hashes
-    either way, so the two paths chunk identically.
+    byte-identical to local.  It is the chaos hook plus
+    :func:`~repro.harness.exec.trial.compute_chunk`, the computation
+    audit re-execution shares.
 
     ``attempt`` is the chunk's retry ordinal.  It feeds only the chaos
     hook (so injected faults can be transient) — trial outcomes are
@@ -96,18 +101,276 @@ def run_chunk(
     depend on it.
     """
     inject_chunk_faults(indices, attempt)
-    if spec.engine in (ENGINE_BATCH, ENGINE_BATCH2D):
-        return run_spec_batch(spec, indices, base_seed)
-    return [run_spec_trial(spec, i, base_seed) for i in indices]
+    return compute_chunk(spec, base_seed, indices)
 
 
-#: Backwards-compatible alias (pre-service-tier name).
-_run_chunk = run_chunk
+def settle_future(future: Future, fn: Callable[..., object], *args: object) -> None:
+    """Settle ``future`` with ``fn(*args)``, or with the error it raised."""
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
 
 
-def _render_error(exc: BaseException) -> str:
-    """Compact one-line rendering for ``ChunkFailure`` records."""
-    return f"{type(exc).__name__}: {exc}"
+class Lane:
+    """A place a chunk runs; the defaults describe one that never fails."""
+
+    #: Identity in reports (an HTTP lane's endpoint URL).
+    name = "local"
+    #: Chunks in flight at once.
+    capacity: float = 1
+    #: Whether :meth:`submit` runs the chunk before it returns.
+    inline = False
+    #: Whether results skip the audit (only remote workers can lie).
+    trusted = True
+    #: ``time.monotonic()`` before which the lane takes no chunk.
+    idle_until = 0.0
+
+    @property
+    def out(self) -> bool:
+        """Whether the lane is out for good."""
+        return False
+
+    def submit(
+        self, batch: TrialBatch, indices: Sequence[int], attempt: int
+    ) -> "Future[List[TrialOutcome]]":
+        """Start one chunk; the future yields its outcomes."""
+        raise NotImplementedError
+
+    def failure_kind(self, exc: BaseException) -> Optional[str]:
+        """The ``ChunkFailure.kind`` if ``exc`` condemns the whole lane."""
+        return None
+
+    def note_success(self) -> None:
+        """A chunk came back whole."""
+
+    def note_failure(self) -> None:
+        """The lane failed (:meth:`failure_kind` named the error)."""
+
+    def abandon(self) -> None:
+        """The stall detector gave up on the lane's in-flight chunks."""
+
+    def audited(self, honest: bool) -> None:
+        """One of the lane's chunks was re-executed locally."""
+
+
+class LocalLane(Lane):
+    """The in-process lane: runs a chunk on the calling thread, so its
+    future is settled when :meth:`submit` returns.  Nothing condemns it:
+    a chunk that raises is retried like any other."""
+
+    inline = True
+
+    def submit(
+        self, batch: TrialBatch, indices: Sequence[int], attempt: int
+    ) -> "Future[List[TrialOutcome]]":
+        future: "Future[List[TrialOutcome]]" = Future()
+        settle_future(future, run_chunk, batch.spec, batch.base_seed, indices, attempt)
+        return future
+
+
+#: Stateless, so one instance serves every executor.
+LOCAL_LANE = LocalLane()
+
+
+class ChunkScheduler:
+    """Drives one batch's chunks through lanes until each settles.
+
+    A chunk settles *collected* (outcomes kept and checkpointed) or
+    *quarantined* (a ``ChunkFailure`` on the report).  The executor
+    supplies the cache, retry policy, audit policy and stall timeout.
+    """
+
+    def __init__(
+        self,
+        executor: "Executor",
+        batch: TrialBatch,
+        report: BatchReport,
+        chunks: List[List[int]],
+    ) -> None:
+        self.executor = executor
+        self.batch = batch
+        self.report = report
+        self.chunks = chunks
+        self.key = batch.batch_key()
+        self.attempts = [0] * len(chunks)
+        #: Queued chunk id -> monotonic time it may run, in queue order.
+        self.waiting: Dict[int, float] = dict.fromkeys(range(len(chunks)), 0.0)
+        self.in_flight: Dict[Future, Tuple[int, Lane]] = {}
+        self.results: Dict[int, List[TrialOutcome]] = {}
+        self.produced_by: Dict[int, Lane] = {}
+        self.unsaved: List[int] = []
+
+    def run(self, lanes: List[Lane]) -> List[TrialOutcome]:
+        """Settle every chunk; in-process takes over once all lanes are out."""
+        timeout = self.executor.chunk_timeout
+        quiet_since = time.monotonic()
+        try:
+            while self.waiting or self.in_flight:
+                if all(lane.out for lane in lanes):
+                    self.report.degraded_to_serial = True
+                    lanes = [LOCAL_LANE]
+                # One instant judges both what is ready and what to wake
+                # for, so a backoff or cooldown that runs out during the
+                # checkpoint below is still woken for.
+                now = time.monotonic()
+                if self._dispatch(lanes, now):
+                    quiet_since = time.monotonic()
+                # The lanes have their next chunks: now save the last.
+                self._checkpoint()
+                wakes = [at for at in self.waiting.values() if at > now]
+                wakes += [lane.idle_until for lane in lanes if lane.idle_until > now]
+                if timeout is not None and self.in_flight:
+                    wakes.append(quiet_since + timeout)
+                wait_s = max(0.0, min(wakes) - time.monotonic()) if wakes else None
+                if not self.in_flight:
+                    time.sleep(wait_s)  # only backoffs and cooldowns left
+                    continue
+                done, _ = concurrent.futures.wait(
+                    self.in_flight,
+                    timeout=wait_s,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+                if done:
+                    quiet_since = time.monotonic()
+                    self._settle(done)
+                elif timeout is not None and time.monotonic() - quiet_since >= timeout:
+                    self._stall(timeout)
+        except BaseException:
+            for future in self.in_flight:
+                future.cancel()
+            raise
+        self._checkpoint()
+        return [o for outcomes in self.results.values() for o in outcomes]
+
+    def _dispatch(self, lanes: List[Lane], now: float) -> bool:
+        """Hand chunks ready at ``now`` to lanes with room; True if any went out."""
+        ready = [cid for cid, at in self.waiting.items() if at <= now]
+        sent = False
+        for lane in lanes:
+            if lane.out or lane.idle_until > now:
+                continue
+            room = lane.capacity - sum(1 for _, busy in self.in_flight.values() if busy is lane)
+            while room > 0 and ready:
+                cid = ready.pop(0)
+                del self.waiting[cid]
+                if lane.inline:
+                    self._checkpoint()  # it runs right here: save first
+                try:
+                    future = lane.submit(self.batch, self.chunks[cid], self.attempts[cid])
+                except Exception as exc:
+                    # A submit that raises is judged like a future that
+                    # raised (for a pool: the pool broke).
+                    future = Future()
+                    future.set_exception(exc)
+                    room = 0
+                self.in_flight[future] = (cid, lane)
+                room -= 1
+                sent = True
+        return sent
+
+    def _settle(self, done: Iterable[Future]) -> None:
+        """Collect or charge each finished chunk, then judge the lanes.
+
+        A lane that failed is judged once per wave: the chunks it still
+        holds are charged the same failure, and its successes in that
+        wave do not count toward its health.
+        """
+        failed: Dict[Lane, Tuple[str, str]] = {}
+        charges: List[Tuple[int, str, str]] = []
+        collected = []
+        for future in [f for f in self.in_flight if f in done]:
+            cid, lane = self.in_flight.pop(future)
+            try:
+                collected.append((cid, lane, future.result()))
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                kind = lane.failure_kind(exc)
+                if kind is not None:
+                    failed.setdefault(lane, (kind, error))
+                charges.append((cid, kind or "exception", error))
+        for lane, (kind, error) in failed.items():
+            for future, (cid, busy) in list(self.in_flight.items()):
+                if busy is lane:
+                    del self.in_flight[future]
+                    charges.append((cid, kind, error))
+            lane.note_failure()
+        self._charge(charges)
+        for cid, lane, outcomes in collected:
+            self._accept(cid, lane, outcomes, lane not in failed)
+
+    def _accept(
+        self, cid: int, lane: Lane, outcomes: List[TrialOutcome], counts: bool
+    ) -> None:
+        """Keep a returned chunk, auditing it first if its lane is untrusted."""
+        indices = self.chunks[cid]
+        if not lane.trusted and self.executor.audit.selects(self.key, indices):
+            truth = reexecute_chunk(self.batch.spec, self.batch.base_seed, indices)
+            honest = outcomes_digest(truth) == outcomes_digest(outcomes)
+            self.report.audited_chunks += 1
+            lane.audited(honest)
+            if not honest:
+                # A consistent lie, caught.  Everything the lane
+                # produced is suspect: drop it, expunge its ledger
+                # documents and re-queue it uncharged for honest lanes.
+                # The audited chunk settles with the local truth.
+                self.report.audit_mismatches += 1
+                if lane.name not in self.report.byzantine_endpoints:
+                    self.report.byzantine_endpoints.append(lane.name)
+                for other in [c for c, by in self.produced_by.items() if by is lane]:
+                    del self.produced_by[other], self.results[other]
+                    if self.executor.cache is not None:
+                        self.executor.cache.remove_chunk(self.batch, self.chunks[other])
+                    self.waiting[other] = 0.0
+                self.results[cid] = truth
+                self.unsaved.append(cid)
+                return
+        if counts:
+            lane.note_success()
+        self.produced_by[cid] = lane
+        self.results[cid] = outcomes
+        self.unsaved.append(cid)
+
+    def _charge(self, charges: List[Tuple[int, str, str]]) -> None:
+        """Charge ``(chunk, kind, error)`` failures: quarantine a chunk out
+        of attempts, re-queue the rest together after their longest
+        backoff (chunks that failed together, as in a broken pool, retry
+        together)."""
+        retry = self.executor.retry
+        delays = {}
+        for cid, kind, error in charges:
+            self.attempts[cid] += 1
+            attempt = self.attempts[cid]
+            if attempt >= retry.max_attempts:
+                self.report.record_quarantine(
+                    ChunkFailure(tuple(self.chunks[cid]), attempt, kind, error)
+                )
+                continue
+            self.report.retries += 1
+            scope = f"{self.key}:{self.chunks[cid][0]}"
+            delays[cid] = retry.delay(scope, attempt - 1)
+        ready_at = time.monotonic() + max(delays.values(), default=0.0)
+        for cid in delays:
+            self.waiting[cid] = ready_at
+
+    def _stall(self, timeout: float) -> None:
+        """Nothing finished inside the window, so the lanes may be wedged:
+        charge every in-flight chunk a ``timeout`` and abandon its lane."""
+        stalled, self.in_flight = self.in_flight, {}
+        for lane in dict.fromkeys(lane for _, lane in stalled.values()):
+            lane.abandon()
+        message = f"no chunk completed within {timeout}s"
+        self._charge(
+            [(cid, "timeout", message) for cid in sorted(c for c, _ in stalled.values())]
+        )
+
+    def _checkpoint(self) -> None:
+        """Write the ledger documents of chunks collected since last time."""
+        cache = self.executor.cache
+        for cid in self.unsaved:
+            if cache is not None and cid in self.results:
+                cache.store_chunk(self.batch, self.chunks[cid], self.results[cid])
+        self.unsaved = []
 
 
 class Executor:
@@ -124,7 +387,13 @@ class Executor:
         reports: One :class:`BatchReport` per executed batch, in
             order, carrying ``resumed_chunks``/``retries``/
             ``quarantined`` counters.
+        chunk_size / chunk_timeout / audit: What the scheduler applies
+            (see the subclasses that set them).
     """
+
+    chunk_size: Optional[int] = None
+    chunk_timeout: Optional[float] = None
+    audit = AuditPolicy()
 
     def __init__(
         self,
@@ -215,64 +484,44 @@ class Executor:
     def _execute(
         self, batch: TrialBatch, report: BatchReport
     ) -> List[TrialOutcome]:
-        raise NotImplementedError
+        """Salvage checkpointed chunks, then schedule the rest."""
+        salvaged: Dict[int, TrialOutcome] = {}
+        if self.cache is not None:
+            salvaged, valid_docs = self.cache.load_partial(batch)
+            report.resumed_chunks += valid_docs
+        outcomes = list(salvaged.values())
+        missing = [i for i in range(batch.trials) if i not in salvaged]
+        if missing:
+            chunks = self._chunk_indices(missing, batch.trials)
+            lanes = self._lanes(report, len(chunks))
+            scheduler = ChunkScheduler(self, batch, report, chunks)
+            outcomes += scheduler.run(lanes)
+        return outcomes
 
-    def _load_partial(
-        self, batch: TrialBatch, report: BatchReport
-    ) -> Dict[int, TrialOutcome]:
-        """Salvage checkpointed chunks of an interrupted earlier run."""
-        if self.cache is None:
-            return {}
-        salvaged, valid_docs = self.cache.load_partial(batch)
-        report.resumed_chunks += valid_docs
-        return salvaged
+    def _width(self) -> int:
+        """Workers a batch spreads over; ``0`` runs it as one chunk."""
+        return 0
 
-    def _run_with_retry(
-        self,
-        batch: TrialBatch,
-        indices: Sequence[int],
-        report: BatchReport,
-        *,
-        checkpoint: bool = False,
-        start_attempt: int = 0,
-    ) -> List[TrialOutcome]:
-        """Run one chunk in-process under the retry policy.
+    def _chunk_indices(
+        self, indices: Sequence[int], total: int
+    ) -> List[List[int]]:
+        """Split ``indices`` into chunks, sized off the *full* batch.
 
-        Returns the chunk's outcomes, or ``[]`` after quarantining it.
-        ``start_attempt`` carries over attempts already charged by a
-        pool-side failure (it also keeps already-fired chaos faults
-        from re-firing in the parent process).
+        Sizing off ``total`` (not ``len(indices)``) keeps chunk
+        geometry identical between a fresh run and a resumed one that
+        only recomputes a remainder.  By default a batch splits into
+        about four chunks per worker or endpoint, so stragglers rebalance.
         """
-        indices = sorted(indices)
-        if not indices:
-            return []
-        scope = f"{batch.batch_key()}:{indices[0]}"
-        attempt = start_attempt
-        while True:
-            try:
-                outcomes = run_chunk(
-                    batch.spec, batch.base_seed, indices, attempt
-                )
-            except Exception as exc:
-                attempt += 1
-                if attempt >= self.retry.max_attempts:
-                    report.record_quarantine(
-                        ChunkFailure(
-                            trial_indices=tuple(indices),
-                            attempts=attempt,
-                            kind="exception",
-                            error=_render_error(exc),
-                        )
-                    )
-                    return []
-                report.retries += 1
-                delay = self.retry.delay(scope, attempt - 1)
-                if delay > 0:
-                    time.sleep(delay)
-            else:
-                if checkpoint and self.cache is not None:
-                    self.cache.store_chunk(batch, indices, outcomes)
-                return outcomes
+        size = self.chunk_size
+        if size is None:
+            width = self._width()
+            size = -(-total // (width * 4)) if width else total
+        ordered = sorted(indices)
+        return [ordered[i : i + size] for i in range(0, len(ordered), size)]
+
+    def _lanes(self, report: BatchReport, chunks: int) -> List[Lane]:
+        """The lanes this batch's ``chunks`` chunks run in."""
+        return [LOCAL_LANE]
 
     def close(self) -> None:
         """Release any worker resources (no-op for serial execution)."""
@@ -287,21 +536,14 @@ class Executor:
 class SerialExecutor(Executor):
     """In-process, in-order execution — the zero-dependency baseline."""
 
-    def _execute(
-        self, batch: TrialBatch, report: BatchReport
-    ) -> List[TrialOutcome]:
-        salvaged = self._load_partial(batch, report)
-        outcomes = list(salvaged.values())
-        missing = [i for i in range(batch.trials) if i not in salvaged]
-        if missing:
-            outcomes.extend(
-                self._run_with_retry(batch, missing, report, checkpoint=True)
-            )
-        return outcomes
 
-
-class ParallelExecutor(Executor):
+class ParallelExecutor(Executor, Lane):
     """Process-pool execution over chunks of trial indices.
+
+    The pool is its lane.  Only a ``BrokenExecutor`` — raised by a
+    future or by ``submit`` itself — condemns it: each break rebuilds
+    the pool, and ``pool_failure_limit`` consecutive breaks put it out
+    for the rest of the batch.
 
     Args:
         workers: Pool size (default: CPU count).
@@ -320,6 +562,8 @@ class ParallelExecutor(Executor):
         fault_plan: Optional explicit :class:`FaultPlan` for chaos
             testing.
     """
+
+    capacity = math.inf
 
     def __init__(
         self,
@@ -348,202 +592,48 @@ class ParallelExecutor(Executor):
         self.chunk_size = chunk_size
         self.chunk_timeout = chunk_timeout
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._breaks = 0
+        self._report: Optional[BatchReport] = None
 
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+    def _width(self) -> int:
+        return self.workers
+
+    def _lanes(self, report: BatchReport, chunks: int) -> List[Lane]:
+        if chunks <= 1:
+            return [LOCAL_LANE]  # not worth a round trip through the pool
+        self._breaks, self._report = 0, report
+        return [self]
+
+    # -- the pool as the scheduler's lane ------------------------------
+
+    def submit(
+        self, batch: TrialBatch, indices: Sequence[int], attempt: int
+    ) -> "Future[List[TrialOutcome]]":
         if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers
-            )
-        return self._pool
+            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool.submit(run_chunk, batch.spec, batch.base_seed, indices, attempt)
 
-    def _rebuild_pool(
-        self, report: BatchReport
-    ) -> concurrent.futures.ProcessPoolExecutor:
-        """Tear down a broken or wedged pool and start a fresh one."""
+    @property
+    def out(self) -> bool:
+        return self._breaks >= self.retry.pool_failure_limit
+
+    def failure_kind(self, exc: BaseException) -> Optional[str]:
+        return "pool" if isinstance(exc, concurrent.futures.BrokenExecutor) else None
+
+    def note_success(self) -> None:
+        self._breaks = 0
+
+    def note_failure(self) -> None:
+        self._breaks += 1
+        self.abandon()
+
+    def abandon(self) -> None:
+        """Tear down a broken or wedged pool; the next submit starts afresh."""
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        report.pool_rebuilds += 1
-        return self._ensure_pool()
-
-    def _chunk_indices(
-        self, indices: Sequence[int], total: int
-    ) -> List[List[int]]:
-        """Split ``indices`` into chunks, sized off the *full* batch.
-
-        Sizing off ``total`` (not ``len(indices)``) keeps chunk
-        geometry identical between a fresh run and a resumed one that
-        only recomputes a remainder.
-        """
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-total // (self.workers * 4)))
-        ordered = sorted(indices)
-        return [ordered[i : i + size] for i in range(0, len(ordered), size)]
-
-    def _execute(
-        self, batch: TrialBatch, report: BatchReport
-    ) -> List[TrialOutcome]:
-        salvaged = self._load_partial(batch, report)
-        outcomes = list(salvaged.values())
-        missing = [i for i in range(batch.trials) if i not in salvaged]
-        if not missing:
-            return outcomes
-        chunks = self._chunk_indices(missing, batch.trials)
-        if len(chunks) <= 1:
-            # Not worth a round-trip through the pool.
-            outcomes.extend(
-                self._run_with_retry(
-                    batch, chunks[0], report, checkpoint=True
-                )
-            )
-            return outcomes
-        outcomes.extend(self._collect(batch, chunks, report))
-        return outcomes
-
-    def _collect(
-        self,
-        batch: TrialBatch,
-        chunks: List[List[int]],
-        report: BatchReport,
-    ) -> List[TrialOutcome]:
-        """Fan chunks out to the pool and gather them as they finish.
-
-        The event loop: submit every runnable chunk, wait for the
-        first completion (bounded by ``chunk_timeout``), then classify
-        each settled future — collected and checkpointed on success;
-        on failure charged an attempt and resubmitted, or quarantined
-        once the policy is exhausted.  A broken pool fails every
-        in-flight chunk, is rebuilt, and after ``pool_failure_limit``
-        consecutive breaks the remaining work degrades to in-process
-        execution.  Any fatal (non-chunk) error cancels outstanding
-        futures before propagating, so a failed run does not leak busy
-        workers.
-        """
-        retry = self.retry
-        key = batch.batch_key()
-        attempts = [0] * len(chunks)
-        collected: List[TrialOutcome] = []
-        to_submit = list(range(len(chunks)))
-        pending: Dict[concurrent.futures.Future, int] = {}
-        pool_failures = 0
-        pool = self._ensure_pool()
-
-        def charge(cid: int, kind: str, error: str) -> bool:
-            """Charge one failed attempt; True if the chunk re-runs."""
-            attempts[cid] += 1
-            if attempts[cid] >= retry.max_attempts:
-                report.record_quarantine(
-                    ChunkFailure(
-                        trial_indices=tuple(chunks[cid]),
-                        attempts=attempts[cid],
-                        kind=kind,
-                        error=error,
-                    )
-                )
-                return False
-            report.retries += 1
-            return True
-
-        try:
-            while to_submit or pending:
-                retry_wave = [cid for cid in to_submit if attempts[cid] > 0]
-                if retry_wave:
-                    delay = max(
-                        retry.delay(
-                            f"{key}:{chunks[cid][0]}", attempts[cid] - 1
-                        )
-                        for cid in retry_wave
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-                for cid in to_submit:
-                    future = pool.submit(
-                        run_chunk,
-                        batch.spec,
-                        batch.base_seed,
-                        chunks[cid],
-                        attempts[cid],
-                    )
-                    pending[future] = cid
-                to_submit = []
-                done, _ = concurrent.futures.wait(
-                    set(pending),
-                    timeout=self.chunk_timeout,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                if not done:
-                    # Stall: nothing finished inside the window.  The
-                    # pool may be wedged on a hung chunk; abandon every
-                    # in-flight future and start over on a fresh pool.
-                    stalled = sorted(pending.values())
-                    pending.clear()
-                    pool = self._rebuild_pool(report)
-                    message = (
-                        "no chunk completed within "
-                        f"{self.chunk_timeout}s"
-                    )
-                    to_submit = [
-                        cid
-                        for cid in stalled
-                        if charge(cid, "timeout", message)
-                    ]
-                    continue
-                broken = False
-                broken_error = ""
-                completed_ok = False
-                for future in done:
-                    cid = pending.pop(future)
-                    try:
-                        chunk_outcomes = future.result()
-                    except concurrent.futures.BrokenExecutor as exc:
-                        broken = True
-                        broken_error = _render_error(exc)
-                        if charge(cid, "pool", broken_error):
-                            to_submit.append(cid)
-                    except Exception as exc:
-                        if charge(cid, "exception", _render_error(exc)):
-                            to_submit.append(cid)
-                    else:
-                        completed_ok = True
-                        collected.extend(chunk_outcomes)
-                        if self.cache is not None:
-                            self.cache.store_chunk(
-                                batch, chunks[cid], chunk_outcomes
-                            )
-                if broken:
-                    # The pool died.  Which chunk killed it is
-                    # unknowable from here, so every in-flight chunk is
-                    # charged a (cheap) pool failure and retried.
-                    pool_failures += 1
-                    in_flight = sorted(pending.values())
-                    pending.clear()
-                    for cid in in_flight:
-                        if charge(
-                            cid, "pool", broken_error or "process pool broke"
-                        ):
-                            to_submit.append(cid)
-                    pool = self._rebuild_pool(report)
-                    if pool_failures >= retry.pool_failure_limit:
-                        report.degraded_to_serial = True
-                        for cid in sorted(to_submit):
-                            collected.extend(
-                                self._run_with_retry(
-                                    batch,
-                                    chunks[cid],
-                                    report,
-                                    checkpoint=True,
-                                    start_attempt=attempts[cid],
-                                )
-                            )
-                        to_submit = []
-                elif completed_ok:
-                    pool_failures = 0
-        except BaseException:
-            for future in pending:
-                future.cancel()
-            raise
-        return collected
+        if self._report is not None:
+            self._report.pool_rebuilds += 1
 
     def close(self) -> None:
         if self._pool is not None:

@@ -44,6 +44,7 @@ from repro.sim.registry import BATCH_ENGINES
 
 __all__ = [
     "TrialOutcome",
+    "compute_chunk",
     "execute_fast_trial",
     "execute_reference_trial",
     "outcomes_digest",
@@ -367,3 +368,20 @@ def run_spec_trial(
         strict_termination=spec.strict_termination,
         fault_model=build_fault_model(spec),
     )
+
+
+def compute_chunk(
+    spec: TrialSpec, base_seed: int, indices: Sequence[int]
+) -> List[TrialOutcome]:
+    """Outcomes of one chunk of a batch's trials, in trial-index order.
+
+    The one chunk computation: the executors' ``run_chunk`` is the
+    chaos hook plus this, and audit re-execution is this alone.
+    Batch-engine specs advance the whole chunk in one vectorized call;
+    per-trial seeds are pure hashes either way, so the two paths chunk
+    identically.
+    """
+    ordered = sorted(int(i) for i in indices)
+    if spec.engine in (ENGINE_BATCH, ENGINE_BATCH2D):
+        return run_spec_batch(spec, ordered, base_seed)
+    return [run_spec_trial(spec, i, base_seed) for i in ordered]

@@ -93,18 +93,15 @@ def reexecute_chunk(
 ) -> List["TrialOutcome"]:
     """Compute a chunk's ground truth locally, bypassing chaos hooks.
 
-    The honest twin of the executor's ``run_chunk``: same engines, same
-    pure per-trial seeds, but no ``inject_chunk_faults`` call — an
-    auditor running inside a fault-injection test must still produce
-    the clean answer, otherwise the audit would convict honest workers.
+    The honest twin of the executor's ``run_chunk``: the same
+    :func:`~repro.harness.exec.trial.compute_chunk`, but without the
+    ``inject_chunk_faults`` call — an auditor running inside a
+    fault-injection test must still produce the clean answer, otherwise
+    the audit would convict honest workers.
     """
     # Imported lazily: repro.harness.exec's __init__ pulls in the
     # executor module, which imports this package — a module-level
     # import here would be circular.
-    from repro.harness.exec.spec import ENGINE_BATCH, ENGINE_BATCH2D
-    from repro.harness.exec.trial import run_spec_batch, run_spec_trial
+    from repro.harness.exec.trial import compute_chunk
 
-    ordered = sorted(int(i) for i in indices)
-    if spec.engine in (ENGINE_BATCH, ENGINE_BATCH2D):
-        return run_spec_batch(spec, ordered, base_seed)
-    return [run_spec_trial(spec, i, base_seed) for i in ordered]
+    return compute_chunk(spec, base_seed, indices)

@@ -114,18 +114,18 @@ class RetryPolicy:
 class CircuitBreaker:
     """Closed/open/half-open health gate for one failure-prone peer.
 
-    The remote executor keeps one per worker endpoint, owned by that
-    endpoint's single dispatcher thread (so no internal locking: the
-    only cross-thread reads are summary snapshots after the dispatchers
-    join).  The schedule is fully deterministic: the ``n``-th opening's
-    cooldown is ``policy.delay("breaker:" + scope, n)``, the same
-    hash-jittered exponential as chunk retries, so a fleet of breakers
-    desynchronises without any global randomness.
+    The remote executor keeps one per worker endpoint, read and
+    written only by the chunk scheduler's loop (so no internal locking;
+    the endpoint's request thread never touches it).  The schedule is
+    fully deterministic: the ``n``-th opening's cooldown is
+    ``policy.delay("breaker:" + scope, n)``, the same hash-jittered
+    exponential as chunk retries, so a fleet of breakers desynchronises
+    without any global randomness.
 
     Lifecycle::
 
         closed --consecutive failures reach limit--> open
-        open --caller sleeps cooldown, begin_probe()--> half-open
+        open --caller waits out cooldown, begin_probe()--> half-open
         half-open --success--> closed   (failure run forgiven)
         half-open --failure--> open     (longer cooldown)
         open for the limit-th time --> exhausted      (terminal)

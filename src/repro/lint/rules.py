@@ -133,7 +133,6 @@ _REGISTRY_ROOTS = frozenset(
         "FastAdversary",
         "BatchFastAdversary",
         "Batch2DAdversary",
-        "KernelBackend",
     }
 )
 

@@ -13,86 +13,101 @@ remote execution is byte-identical to local at any worker count,
 endpoint assignment, or chunk geometry (the differential gates in
 ``tests/test_service.py`` pin this down, faults included).
 
-Failure handling layers three defences on the PR-5 resilience policy:
+Each endpoint is one lane of the executors' shared
+:class:`~repro.harness.exec.executor.ChunkScheduler`, which owns
+retries, checkpoints, audit and degrade-to-local for every transport.
+A lane's request runs on a daemon thread of its own, so a fleet of N
+workers runs N chunks at once and an interrupted run exits without
+waiting out a wedged worker.  What is the HTTP lane's own:
 
-* **Retry + circuit breakers** — a chunk whose worker fails
-  (connection refused, HTTP 5xx, malformed body, bad attestation) is
-  charged an attempt under the :class:`RetryPolicy`'s deterministic
-  backoff and re-queued for whichever healthy endpoint pulls it next.
-  Each endpoint runs a :class:`~repro.harness.resilience.
-  CircuitBreaker` instead of a one-way quarantine: enough consecutive
-  failures *open* the breaker, the endpoint cools down on the same
-  hash-jittered schedule as chunk retries, then *half-opens* for one
-  probe chunk — success re-closes it and the worker rejoins the fleet,
-  failure re-opens it with a longer cooldown, and only an endpoint
-  whose breaker has opened ``pool_failure_limit`` times is permanently
-  out.  When every endpoint is permanently out the remaining chunks
-  degrade to in-process execution (``BatchReport.degraded_to_serial``).
+* **Circuit breakers** — any failed request (connection refused, HTTP
+  5xx, malformed body, bad attestation) fails its chunk as
+  ``kind="worker"`` and counts against the endpoint's
+  :class:`~repro.harness.resilience.CircuitBreaker`: enough
+  consecutive failures *open* the breaker, the endpoint cools down
+  holding no work on the same hash-jittered schedule as chunk retries,
+  then *half-opens* for one probe chunk — success re-closes it and the
+  worker rejoins the fleet, failure re-opens it with a longer
+  cooldown, and only an endpoint whose breaker has opened
+  ``pool_failure_limit`` times is permanently out.
 * **Outcome attestation** — every ``/chunks`` response carries the
   worker's ``chunk_digest`` (:func:`~repro.harness.exec.trial.
-  outcomes_digest`); the executor recomputes it over the received
+  outcomes_digest`); the lane recomputes it over the received
   outcomes, so transport corruption or an *inconsistent* lie is
   rejected on receipt and charged as an ordinary worker failure.
-* **Audit re-execution** — a deterministic, plan-keyed sample of
-  completed chunks (:class:`~repro.harness.resilience.audit.
-  AuditPolicy`) is recomputed locally; a digest mismatch proves the
-  endpoint lied *consistently*.  The endpoint is marked Byzantine
-  (terminal — no probation for equivocation), every chunk it completed
-  this batch is purged from the results and the cache ledger and
-  re-queued for honest endpoints, and the audited chunk settles with
-  the locally recomputed truth.  With ``audit_fraction=1.0`` this is a
-  proof: the batch's results are byte-identical to a fault-free run no
-  matter what any worker returned.
-
-Completed chunks are checkpointed into the (local) cache ledger, so an
-interrupted remote run resumes at chunk granularity like any other.
+* **Audit re-execution** — the scheduler recomputes a deterministic,
+  plan-keyed sample of completed chunks (:class:`~repro.harness.
+  resilience.audit.AuditPolicy`) locally; a digest mismatch proves the
+  endpoint lied *consistently*, marks it Byzantine (terminal — no
+  probation for equivocation) and purges every chunk it completed
+  this batch.  With ``audit_fraction=1.0`` this is a proof: the
+  batch's results are byte-identical to a fault-free run no matter
+  what any worker returned.
 """
 
 from __future__ import annotations
 
-import queue
+import concurrent.futures
 import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.exec import ResultCache, TrialBatch, TrialOutcome
-from repro.harness.exec.executor import Executor, _render_error
+from repro.harness.exec.executor import Executor, Lane, settle_future
 from repro.harness.exec.trial import outcomes_digest
 from repro.harness.exec.wire import WIRE_VERSION, spec_to_wire
 from repro.harness.resilience import (
     BatchReport,
-    ChunkFailure,
     CircuitBreaker,
     FaultPlan,
     RetryPolicy,
 )
-from repro.harness.resilience.audit import AuditPolicy, reexecute_chunk
+from repro.harness.resilience.audit import AuditPolicy
 from repro.service.netio import ServiceUnreachable, request_json
 
 __all__ = ["RemoteExecutor", "WorkerEndpoint"]
 
 
-class WorkerEndpoint:
-    """One worker URL plus its breaker and throughput accounting."""
+class WorkerEndpoint(Lane):
+    """One worker URL as a lane: each request on a daemon thread of its
+    own, a circuit breaker deciding when it takes work, and throughput
+    accounting."""
 
-    def __init__(self, url: str, retry: Optional[RetryPolicy] = None) -> None:
-        self.url = url.rstrip("/")
-        self.breaker = CircuitBreaker(
-            self.url, retry if retry is not None else RetryPolicy()
-        )
+    trusted = False
+
+    def __init__(self, url: str, retry: RetryPolicy, request_timeout: float) -> None:
+        self.url = self.name = url.rstrip("/")
+        self.breaker = CircuitBreaker(self.url, retry)
+        self.request_timeout = request_timeout
         self.chunks_completed = 0
         self.chunks_audited = 0
 
     @property
-    def quarantined(self) -> bool:
+    def out(self) -> bool:
         """Permanently out: breaker exhausted or proven Byzantine."""
         return self.breaker.permanent
 
-    @property
-    def byzantine(self) -> bool:
-        """Whether an audit proved this endpoint returned wrong results."""
-        return self.breaker.state == CircuitBreaker.BYZANTINE
+    def submit(
+        self, batch: TrialBatch, indices: Sequence[int], attempt: int
+    ) -> "concurrent.futures.Future[List[TrialOutcome]]":
+        # An open breaker's cooldown is over once the scheduler calls:
+        # this chunk is its half-open probe.
+        self.breaker.begin_probe()
+        future: "concurrent.futures.Future[List[TrialOutcome]]" = concurrent.futures.Future()
+        # Mark it running, as an executor would, so a cancel leaves it
+        # alone rather than make the thread's set_result raise.
+        future.set_running_or_notify_cancel()
+        threading.Thread(
+            target=settle_future,
+            args=(future, self._post_chunk, batch, indices, attempt),
+            name="repro-endpoint",
+            daemon=True,
+        ).start()
+        return future
+
+    def failure_kind(self, exc: BaseException) -> Optional[str]:
+        return "worker"  # any error condemns the endpoint
 
     def note_success(self) -> None:
         self.breaker.note_success()
@@ -100,6 +115,63 @@ class WorkerEndpoint:
 
     def note_failure(self) -> None:
         self.breaker.note_failure()
+        if self.breaker.state == CircuitBreaker.OPEN:
+            self.idle_until = time.monotonic() + self.breaker.cooldown
+
+    def audited(self, honest: bool) -> None:
+        self.chunks_audited += 1
+        if not honest:
+            # Byzantine is terminal: no probation for equivocation.
+            self.breaker.mark_byzantine()
+
+    def _post_chunk(
+        self, batch: TrialBatch, indices: Sequence[int], attempt: int
+    ) -> List[TrialOutcome]:
+        """Execute one chunk on this worker; raises on any defect."""
+        payload = {
+            "wire": WIRE_VERSION,
+            "spec": spec_to_wire(batch.spec),
+            "base_seed": batch.base_seed,
+            "indices": list(indices),
+            "attempt": attempt,
+        }
+        status, doc = request_json(
+            self.url,
+            "POST",
+            "/chunks",
+            payload,
+            timeout=self.request_timeout,
+        )
+        if status != 200:
+            detail = doc.get("error") if isinstance(doc, dict) else doc
+            raise ServiceUnreachable(
+                f"worker {self.url} returned {status}: {detail}"
+            )
+        if not isinstance(doc, dict) or not isinstance(
+            doc.get("outcomes"), list
+        ):
+            raise ServiceUnreachable(
+                f"worker {self.url} returned a malformed chunk document"
+            )
+        outcomes = [
+            TrialOutcome.from_jsonable(rec) for rec in doc["outcomes"]
+        ]
+        if sorted(o.trial_index for o in outcomes) != sorted(indices):
+            raise ServiceUnreachable(
+                f"worker {self.url} returned outcomes for the wrong "
+                "trial indices"
+            )
+        # Receipt-side attestation: the claimed digest must match the
+        # outcomes actually received.  This catches transport
+        # corruption and *inconsistent* lies for free; a worker lying
+        # consistently (digesting its own lie) passes here and is the
+        # audit layer's problem.
+        if doc.get("chunk_digest") != outcomes_digest(outcomes):
+            raise ServiceUnreachable(
+                f"worker {self.url} attestation failed: chunk_digest "
+                "does not match the returned outcomes"
+            )
+        return outcomes
 
 
 class RemoteExecutor(Executor):
@@ -107,8 +179,9 @@ class RemoteExecutor(Executor):
 
     Args:
         endpoints: Worker base URLs (``http://host:port``); at least
-            one.  Chunks are dispatched by one thread per endpoint, so
-            a fleet of N workers executes N chunks concurrently.
+            one.  Each endpoint runs one request at a time, on a
+            thread of its own, so a fleet of N workers executes N
+            chunks concurrently.
         cache: Optional shared :class:`ResultCache`; completed chunks
             are checkpointed locally exactly as the other executors do.
         chunk_size: Trials per worker request (default: split each
@@ -159,286 +232,21 @@ class RemoteExecutor(Executor):
             raise ConfigurationError(
                 f"request_timeout must be > 0, got {request_timeout}"
             )
-        self.endpoints = [WorkerEndpoint(url, self.retry) for url in urls]
+        self.endpoints = [
+            WorkerEndpoint(url, self.retry, request_timeout) for url in urls
+        ]
         self.chunk_size = chunk_size
-        self.request_timeout = request_timeout
         # Validates the fraction eagerly (AuditPolicy raises on a bad
         # one) and fixes the selection key for the executor's lifetime.
         self.audit = AuditPolicy(
             fraction=audit_fraction, seed=audit_seed or ""
         )
 
-    # -- chunk geometry (identical sizing rule to ParallelExecutor) ----
+    def _width(self) -> int:
+        return len(self.endpoints)
 
-    def _chunk_indices(
-        self, indices: Sequence[int], total: int
-    ) -> List[List[int]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-total // (len(self.endpoints) * 4)))
-        ordered = sorted(indices)
-        return [ordered[i : i + size] for i in range(0, len(ordered), size)]
-
-    # -- one worker round trip ----------------------------------------
-
-    def _post_chunk(
-        self,
-        endpoint: WorkerEndpoint,
-        batch: TrialBatch,
-        indices: Sequence[int],
-        attempt: int,
-    ) -> List[TrialOutcome]:
-        """Execute one chunk on ``endpoint``; raises on any defect."""
-        payload = {
-            "wire": WIRE_VERSION,
-            "spec": spec_to_wire(batch.spec),
-            "base_seed": batch.base_seed,
-            "indices": list(indices),
-            "attempt": attempt,
-        }
-        status, doc = request_json(
-            endpoint.url,
-            "POST",
-            "/chunks",
-            payload,
-            timeout=self.request_timeout,
-        )
-        if status != 200:
-            detail = doc.get("error") if isinstance(doc, dict) else doc
-            raise ServiceUnreachable(
-                f"worker {endpoint.url} returned {status}: {detail}"
-            )
-        if not isinstance(doc, dict) or not isinstance(
-            doc.get("outcomes"), list
-        ):
-            raise ServiceUnreachable(
-                f"worker {endpoint.url} returned a malformed chunk document"
-            )
-        outcomes = [
-            TrialOutcome.from_jsonable(rec) for rec in doc["outcomes"]
-        ]
-        if sorted(o.trial_index for o in outcomes) != sorted(indices):
-            raise ServiceUnreachable(
-                f"worker {endpoint.url} returned outcomes for the wrong "
-                "trial indices"
-            )
-        # Receipt-side attestation: the claimed digest must match the
-        # outcomes actually received.  This catches transport
-        # corruption and *inconsistent* lies for free; a worker lying
-        # consistently (digesting its own lie) passes here and is the
-        # audit layer's problem.
-        if doc.get("chunk_digest") != outcomes_digest(outcomes):
-            raise ServiceUnreachable(
-                f"worker {endpoint.url} attestation failed: chunk_digest "
-                "does not match the returned outcomes"
-            )
-        return outcomes
-
-    # -- the scheduler -------------------------------------------------
-
-    def _execute(
-        self, batch: TrialBatch, report: BatchReport
-    ) -> List[TrialOutcome]:
-        salvaged = self._load_partial(batch, report)
-        outcomes = list(salvaged.values())
-        missing = [i for i in range(batch.trials) if i not in salvaged]
-        if not missing:
-            return outcomes
-        chunks = self._chunk_indices(missing, batch.trials)
-        outcomes.extend(self._collect(batch, chunks, report))
-        return outcomes
-
-    def _collect(
-        self,
-        batch: TrialBatch,
-        chunks: List[List[int]],
-        report: BatchReport,
-    ) -> List[TrialOutcome]:
-        """Dispatch chunks across endpoints until done or degraded.
-
-        One dispatcher thread per endpoint pulls chunk ids off a shared
-        queue, so work rebalances onto healthy workers automatically —
-        the same straggler behaviour the local pool's oversized chunk
-        count buys.  The queue is sentinel-terminated: when the last
-        chunk settles, one ``None`` per thread is enqueued, so idle
-        dispatchers block in ``get`` instead of polling.  All shared
-        state (attempt counts, the report, results, endpoint health) is
-        guarded by one lock; HTTP round trips and audit re-executions
-        happen outside it.
-        """
-        retry = self.retry
-        key = batch.batch_key()
-        attempts = [0] * len(chunks)
-        results: Dict[int, List[TrialOutcome]] = {}
-        completed_by: Dict[str, List[int]] = {}
-        work: "queue.Queue[Optional[int]]" = queue.Queue()
-        for cid in range(len(chunks)):
-            work.put(cid)
-        state = threading.Lock()
-        outstanding = [len(chunks)]  # chunks not yet collected/quarantined
-
-        def settle_one(
-            cid: int, chunk_outcomes: Optional[List[TrialOutcome]]
-        ) -> None:
-            """Mark one chunk finished (collected or quarantined).
-
-            Caller holds ``state``.  Settling the last chunk wakes
-            every dispatcher with one sentinel each.
-            """
-            if chunk_outcomes is not None:
-                results[cid] = chunk_outcomes
-            outstanding[0] -= 1
-            if outstanding[0] <= 0:
-                for _ in threads:
-                    work.put(None)
-
-        def purge_endpoint(endpoint: WorkerEndpoint) -> None:
-            """Disown every chunk a Byzantine endpoint completed.
-
-            Caller holds ``state``.  The chunks revert to outstanding
-            — results dropped, ledger checkpoints expunged, re-queued
-            without charging an attempt (the chunks did nothing wrong)
-            — so honest endpoints recompute them.
-            """
-            for cid in completed_by.pop(endpoint.url, []):
-                if cid not in results:
-                    continue
-                del results[cid]
-                outstanding[0] += 1
-                if self.cache is not None:
-                    self.cache.remove_chunk(batch, chunks[cid])
-                work.put(cid)
-
-        def dispatch(endpoint: WorkerEndpoint) -> None:
-            breaker = endpoint.breaker
-            while True:
-                with state:
-                    if outstanding[0] <= 0:
-                        return
-                    if breaker.permanent:
-                        return
-                    cooling = breaker.state == CircuitBreaker.OPEN
-                    cooldown = breaker.cooldown
-                if cooling:
-                    # Cool down holding no work, then admit one probe.
-                    if cooldown > 0:
-                        time.sleep(cooldown)
-                    with state:
-                        breaker.begin_probe()
-                    continue
-                cid = work.get()
-                if cid is None:  # sentinel: the batch is settled
-                    return
-                with state:
-                    attempt = attempts[cid]
-                if attempt > 0:
-                    delay = retry.delay(f"{key}:{chunks[cid][0]}", attempt - 1)
-                    if delay > 0:
-                        time.sleep(delay)
-                try:
-                    chunk_outcomes = self._post_chunk(
-                        endpoint, batch, chunks[cid], attempt
-                    )
-                except Exception as exc:
-                    rendered = _render_error(exc)
-                    with state:
-                        endpoint.note_failure()
-                        attempts[cid] += 1
-                        if attempts[cid] >= retry.max_attempts:
-                            report.record_quarantine(
-                                ChunkFailure(
-                                    trial_indices=tuple(chunks[cid]),
-                                    attempts=attempts[cid],
-                                    kind="worker",
-                                    error=rendered,
-                                )
-                            )
-                            settle_one(cid, None)
-                        else:
-                            report.retries += 1
-                            work.put(cid)
-                        if breaker.permanent:
-                            return
-                    continue
-                if self.audit.selects(key, chunks[cid]):
-                    truth = reexecute_chunk(
-                        batch.spec, batch.base_seed, chunks[cid]
-                    )
-                    honest = outcomes_digest(truth) == outcomes_digest(
-                        chunk_outcomes
-                    )
-                    if not honest:
-                        # A consistent lie, caught.  Byzantine is
-                        # terminal; everything this endpoint produced
-                        # is suspect and recomputes elsewhere, while
-                        # the audited chunk settles with the locally
-                        # recomputed truth.
-                        if self.cache is not None:
-                            self.cache.store_chunk(batch, chunks[cid], truth)
-                        with state:
-                            endpoint.chunks_audited += 1
-                            report.audited_chunks += 1
-                            report.audit_mismatches += 1
-                            if endpoint.url not in report.byzantine_endpoints:
-                                report.byzantine_endpoints.append(
-                                    endpoint.url
-                                )
-                            breaker.mark_byzantine()
-                            purge_endpoint(endpoint)
-                            settle_one(cid, truth)
-                        return
-                    with state:
-                        endpoint.chunks_audited += 1
-                        report.audited_chunks += 1
-                if self.cache is not None:
-                    self.cache.store_chunk(batch, chunks[cid], chunk_outcomes)
-                with state:
-                    endpoint.note_success()
-                    completed_by.setdefault(endpoint.url, []).append(cid)
-                    settle_one(cid, chunk_outcomes)
-
-        threads = [
-            threading.Thread(
-                target=dispatch, args=(endpoint,), daemon=True
-            )
-            for endpoint in self.endpoints
-            if not endpoint.quarantined
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        collected: List[TrialOutcome] = []
-        for chunk_outcomes in results.values():
-            collected.extend(chunk_outcomes)
-
-        # Every dispatcher exited.  Any chunk id still queued (skipping
-        # the wake-up sentinels) means the whole fleet is permanently
-        # out: degrade to in-process execution rather than lose the
-        # batch, exactly like the local pool after pool_failure_limit
-        # consecutive breaks.
-        leftovers: List[int] = []
-        while True:
-            try:
-                item = work.get_nowait()
-            except queue.Empty:
-                break
-            if item is not None:
-                leftovers.append(item)
-        if leftovers:
-            report.degraded_to_serial = True
-            for cid in sorted(leftovers):
-                collected.extend(
-                    self._run_with_retry(
-                        batch,
-                        chunks[cid],
-                        report,
-                        checkpoint=True,
-                        start_attempt=attempts[cid],
-                    )
-                )
-        return collected
+    def _lanes(self, report: BatchReport, chunks: int) -> List[Lane]:
+        return list(self.endpoints)
 
     def worker_summary(self) -> List[Dict[str, object]]:
         """Health and throughput per endpoint, for status reporting."""
@@ -446,8 +254,8 @@ class RemoteExecutor(Executor):
             {
                 "url": e.url,
                 "state": e.breaker.state,
-                "quarantined": e.quarantined,
-                "byzantine": e.byzantine,
+                "quarantined": e.out,
+                "byzantine": e.breaker.state == CircuitBreaker.BYZANTINE,
                 "chunks_completed": e.chunks_completed,
                 "chunks_audited": e.chunks_audited,
             }

@@ -12,11 +12,11 @@ submits a small sweep twice, and checks the whole contract:
 3. the SSE event stream for the job terminates with the settled state;
 4. both processes shut down cleanly.
 
-This is the CI ``service-smoke`` job.  It exercises subprocess
+It runs in the CI ``scheduler-smoke`` job and exercises subprocess
 boundaries the in-process tests can't: stdout port discovery, real
 sockets, and signal-based teardown.
 
-``--byzantine`` (the CI ``byzantine-smoke`` job, ``make
+``--byzantine`` (also in the CI ``scheduler-smoke`` job; ``make
 byzantine-smoke``) runs the untrusted-fleet variant instead: one
 honest worker plus one worker whose chaos plan falsifies every
 outcome it computes (well-formed, correctly-digested lies), behind a

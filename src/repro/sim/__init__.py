@@ -26,13 +26,12 @@ Four engines are provided:
   integration tests.
 * :mod:`repro.sim.batch` — the trial-axis batch engine: M seeded trials
   advance in lockstep as ``(M,)`` tally arrays, drawing coins from
-  counter-based hash streams (:mod:`repro.sim.streams`) through a
-  pluggable kernel backend (:mod:`repro.sim.kernels`).
+  counter-based hash streams (:mod:`repro.sim.streams`).
 * :mod:`repro.sim.batch2d` — the two-axis engine: full ``(M, n)``
   per-process state with mask-level victim selection and per-recipient
   delivery masks; counts adversaries lift onto it bit-identically.
 
-Engine-family name tables (adversaries, engine kinds, kernel backends)
+Engine-family name tables (adversaries, engine kinds)
 live in :mod:`repro.sim.registry`.
 """
 

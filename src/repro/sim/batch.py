@@ -65,9 +65,8 @@ from repro.faultmodels.registry import resolve_fault_model
 from repro.protocols.synran import SynRanProtocol
 from repro.sim.engine import default_max_rounds
 from repro.sim.fast import FastResult
-from repro.sim.kernels import KernelBackend, resolve_kernel
 from repro.sim.model import COUNTS_OMISSION, FaultModel
-from repro.sim.streams import binomial, stream_keys
+from repro.sim.streams import binomial, fair_binomial, stream_keys
 
 __all__ = [
     "BatchBenign",
@@ -525,11 +524,6 @@ class BatchFastEngine:
             round (budget = per-round suppression high-water mark),
             positive ``lag`` serves the adversary a stale view.  Models
             without a counts realisation are rejected.
-        kernel: Inner-step kernel backend (name, instance, or ``None``
-            for the environment default) — see
-            :mod:`repro.sim.kernels`.  A pure performance knob: every
-            backend is bit-identical, so it never appears in spec
-            hashes or cache keys.
 
     There is no ``sanitizer`` knob: the batch engine keeps no
     per-process state for the sanitizer to audit.  Seeds are passed to
@@ -546,7 +540,6 @@ class BatchFastEngine:
         max_rounds: Optional[int] = None,
         strict_termination: bool = True,
         fault_model: Union[str, FaultModel, None] = None,
-        kernel: Union[str, KernelBackend, None] = None,
     ) -> None:
         if not isinstance(protocol, SynRanProtocol):
             raise ConfigurationError(
@@ -573,7 +566,6 @@ class BatchFastEngine:
                 "counts-level realisation (counts_kind is None); use "
                 "the reference engine"
             )
-        self.kernel: KernelBackend = resolve_kernel(kernel)
 
     # ------------------------------------------------------------------
 
@@ -829,7 +821,7 @@ class BatchFastEngine:
                 zeros[to_zero] = pop[to_zero]
                 tent[b_dec1 | b_dec0] = True
                 if coin.any():
-                    heads = self.kernel.fair_binomial(
+                    heads = fair_binomial(
                         coin_keys,
                         r * coin_stride,
                         np.where(coin, pop, 0),

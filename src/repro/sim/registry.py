@@ -5,7 +5,7 @@ objects from names that cross process boundaries; these tables are the
 single source of truth for which names the fast, batch, and two-axis
 batch engines accept.  They live here — next to the classes they name —
 so the ``sim`` package is registry-complete in the REP002 sense: every
-concrete adversary and kernel backend below is reachable from a table,
+concrete adversary below is reachable from a table,
 and every table key is documented in ``docs/registries.md``.
 
 Three invariants the tables maintain:
@@ -51,14 +51,12 @@ from repro.sim.fast import (
     FastTallyAttack,
     FastValencyKeeper,
 )
-from repro.sim.kernels import NumbaKernel, NumpyKernel
 
 __all__ = [
     "BATCH2D_ADVERSARIES",
     "BATCH_ADVERSARIES",
     "BATCH_ENGINES",
     "FAST_ADVERSARIES",
-    "KERNELS",
     "available_batch2d_adversaries",
     "available_batch_adversaries",
     "available_fast_adversaries",
@@ -121,21 +119,10 @@ BATCH2D_ADVERSARIES: Dict[
 #: Engine-kind → vectorized engine class, keyed by ``TrialSpec.engine``
 #: values.  Both constructors share the
 #: ``(protocol, adversary, n, *, max_rounds, strict_termination,
-#: fault_model)`` contract; only the 1-D engine additionally takes the
-#: ``kernel`` knob (the 2-D inner step has no binomial sampling to JIT).
+#: fault_model)`` contract.
 BATCH_ENGINES: Dict[str, type] = {
     "batch": BatchFastEngine,
     "batch2d": Batch2DEngine,
-}
-
-
-#: Kernel-backend names accepted by the 1-D batch engine's ``kernel``
-#: knob (and the ``REPRO_KERNEL`` environment variable).  Mirrors
-#: :data:`repro.sim.kernels.KERNEL_BACKENDS`; both names are pure
-#: performance knobs and never enter spec hashes.
-KERNELS: Dict[str, type] = {
-    "numpy": NumpyKernel,
-    "numba": NumbaKernel,
 }
 
 

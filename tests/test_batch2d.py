@@ -22,10 +22,6 @@ Four tiers, matching the engine's parity contract:
 
 * **Budget invariants.**  A Hypothesis property: no adversary/fault
   combination ever reports ``crashes_used > t`` for any trial.
-
-The kernel-backend registry rides along: the numba kernel must be
-word-identical to the numpy path when numba is importable, and
-selecting it without numba must be a loud configuration error.
 """
 
 import hashlib
@@ -51,16 +47,6 @@ from repro.sim.batch2d import (
     Batch2DEngine,
     Batch2DPartition,
 )
-from repro.sim.kernels import (
-    KERNEL_ENV,
-    NumbaKernel,
-    NumpyKernel,
-    available_kernels,
-    resolve_kernel,
-)
-from repro.sim.streams import fair_binomial, stream_keys
-
-_NUMBA = available_kernels()["numba"]
 
 
 def _mixed_inputs(n):
@@ -589,63 +575,3 @@ def test_budget_never_exceeds_t(n, t_frac, fault, name, seed0):
     ).run(_mixed_inputs(n), [seed0, seed0 + 1, seed0 + 2])
     assert (result.crashes_used <= t).all()
     assert (result.crashes_used >= 0).all()
-
-
-# ----------------------------------------------------------------------
-# Kernel backends
-# ----------------------------------------------------------------------
-
-
-class TestKernelRegistry:
-    def test_numpy_always_available(self):
-        assert NumpyKernel().available()
-        assert resolve_kernel("numpy").name == "numpy"
-        assert resolve_kernel(None).name == "numpy"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            resolve_kernel("cuda")
-
-    def test_env_var_honoured(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numpy")
-        assert resolve_kernel(None).name == "numpy"
-        monkeypatch.setenv(KERNEL_ENV, "no-such-backend")
-        with pytest.raises(ConfigurationError):
-            resolve_kernel(None)
-
-    def test_instance_passthrough(self):
-        backend = NumpyKernel()
-        assert resolve_kernel(backend) is backend
-
-    @pytest.mark.skipif(_NUMBA, reason="numba installed")
-    def test_numba_unavailable_is_loud(self):
-        with pytest.raises(ConfigurationError, match="not available"):
-            resolve_kernel("numba")
-
-    @pytest.mark.skipif(not _NUMBA, reason="numba not installed")
-    def test_numba_matches_numpy_word_for_word(self):
-        rng = np.random.default_rng(7)
-        keys = stream_keys(rng.integers(0, 2**63, size=64, dtype=np.uint64))
-        counts = rng.integers(0, 500, size=64).astype(np.int64)
-        jit = NumbaKernel()
-        for counter in (0, 1, 17, 4096):
-            assert np.array_equal(
-                jit.fair_binomial(keys, counter, counts),
-                fair_binomial(keys, counter, counts),
-            )
-
-    @pytest.mark.skipif(not _NUMBA, reason="numba not installed")
-    def test_numba_engine_run_is_bit_identical(self):
-        n, t = 64, 32
-        seeds = list(range(12))
-        runs = []
-        for kernel in ("numpy", "numba"):
-            engine = BatchFastEngine(
-                SynRanProtocol(),
-                BatchTallyAttack(t),
-                n,
-                strict_termination=False,
-                kernel=kernel,
-            )
-            runs.append(engine.run(_mixed_inputs(n), seeds))
-        _assert_results_equal(runs[0], runs[1], "kernel")

@@ -9,12 +9,14 @@ count.  Faults are declared in a :class:`FaultPlan` JSON file and
 activated via the ``REPRO_CHAOS`` environment variable, which pool
 workers inherit."""
 
+import concurrent.futures
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -29,8 +31,10 @@ from repro.harness.exec import (
     TrialSpec,
     run_spec_trial,
 )
+from repro.harness.exec.executor import ChunkScheduler, LocalLane
 from repro.harness.resilience import (
     CHAOS_ENV,
+    BatchReport,
     ChaosError,
     Fault,
     FaultPlan,
@@ -240,6 +244,87 @@ class TestFaultPaths:
         assert jsonable(outcomes) == expected
         assert report.pool_rebuilds >= 1
         assert report.retries >= 1
+        assert report.quarantined == 0
+
+    def test_pool_broken_at_resubmission_is_absorbed(
+        self, monkeypatch, tmp_path
+    ):
+        # A chunk's failure can be collected after another worker's
+        # death has already broken the pool, so re-submitting it raises
+        # BrokenProcessPool from submit itself.  That is a pool failure
+        # like any other: rebuild the pool and carry on.
+        batch = fast_batch()
+        expected = jsonable(baseline_outcomes(batch))
+        activate_plan(
+            monkeypatch, tmp_path, FaultPlan((Fault("raise", 4, times=1),))
+        )
+        submit = concurrent.futures.ProcessPoolExecutor.submit
+        broken_at = []
+
+        def submit_breaking_on_first_retry(pool, fn, *args, **kwargs):
+            spec, base_seed, indices, attempt = args
+            if attempt > 0 and not broken_at:
+                broken_at.append(list(indices))
+                raise BrokenProcessPool("pool broke before the resubmit")
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor,
+            "submit",
+            submit_breaking_on_first_retry,
+        )
+        with ParallelExecutor(
+            2,
+            chunk_size=3,
+            retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
+        ) as ex:
+            outcomes = ex.run_outcomes(batch)
+        report = ex.last_report
+        assert broken_at == [[3, 4, 5]]
+        assert jsonable(outcomes) == expected
+        assert report.pool_rebuilds >= 1
+        assert report.quarantined == 0
+
+    def test_backoff_running_out_during_a_checkpoint_still_retries(
+        self, monkeypatch, tmp_path
+    ):
+        # The last outstanding chunk fails in the same wave another one
+        # completes.  The completed chunk's checkpoint outlasts the
+        # failed one's backoff, so the retry falls due while the
+        # scheduler is writing and nothing is in flight: it must still
+        # be woken for and run.
+        batch = fast_batch()
+        expected = jsonable(baseline_outcomes(batch))
+        activate_plan(
+            monkeypatch, tmp_path, FaultPlan((Fault("raise", 10, times=1),))
+        )
+        store_chunk = ResultCache.store_chunk
+
+        def slow_store_chunk(cache, *args):
+            time.sleep(0.2)
+            return store_chunk(cache, *args)
+
+        monkeypatch.setattr(ResultCache, "store_chunk", slow_store_chunk)
+
+        class WaveLane(LocalLane):
+            """Two chunks at once, both settled by the time the
+            scheduler waits, so they come back in one wave."""
+
+            capacity = 2
+            inline = False
+
+        ex = SerialExecutor(
+            cache=ResultCache(tmp_path / "cache"),
+            retry=RetryPolicy(backoff_base=0.1),  # 50-100 ms
+        )
+        report = BatchReport(
+            label=batch.label, batch_key=batch.batch_key(), trials=batch.trials
+        )
+        chunks = [list(range(0, 6)), list(range(6, 12))]
+        outcomes = ChunkScheduler(ex, batch, report, chunks).run([WaveLane()])
+        outcomes.sort(key=lambda o: o.trial_index)
+        assert jsonable(outcomes) == expected
+        assert report.retries == 1
         assert report.quarantined == 0
 
     def test_repeated_pool_breaks_degrade_to_serial(

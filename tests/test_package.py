@@ -29,7 +29,6 @@ ALL_MODULES = [
     "repro.sim.comm",
     "repro.sim.engine",
     "repro.sim.fast",
-    "repro.sim.kernels",
     "repro.sim.model",
     "repro.sim.registry",
     "repro.sim.replay",

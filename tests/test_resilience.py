@@ -212,6 +212,29 @@ class TestPartialLedger:
         assert not cache.partial_dir(batch).exists()
         assert jsonable(cache.load(batch)) == jsonable(outcomes)
 
+    def test_validation_bug_propagates_instead_of_missing(
+        self, monkeypatch, tmp_path
+    ):
+        # Only what a corrupt document raises reads as a miss; a bug in
+        # the validation code itself must surface, not silently
+        # recompute the batch.
+        batch = fast_batch()
+        cache = ResultCache(tmp_path / "cache")
+        outcomes = baseline_outcomes(batch)
+        cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
+
+        def buggy(cls, doc):
+            raise RuntimeError("bug in validation")
+
+        monkeypatch.setattr(TrialOutcome, "from_jsonable", classmethod(buggy))
+        with pytest.raises(RuntimeError, match="bug in validation"):
+            cache.load_partial(batch)
+        monkeypatch.undo()
+        cache.store(batch, outcomes)
+        monkeypatch.setattr(TrialOutcome, "from_jsonable", classmethod(buggy))
+        with pytest.raises(RuntimeError, match="bug in validation"):
+            cache.load(batch)
+
     def test_chunk_doc_span_parsing(self, tmp_path):
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")

@@ -41,6 +41,7 @@ from repro.service import (
     WorkerApp,
 )
 from repro.service.netio import ServiceUnreachable, request_json
+from repro.service.remote import WorkerEndpoint
 
 
 def fast_spec(**overrides):
@@ -338,6 +339,17 @@ class TestWorkerEndpointContract:
         status, doc = request_json(worker_url, "POST", "/chunks", payload)
         assert status == 400
         assert "error" in doc
+
+    def test_requests_run_on_daemon_threads(self, monkeypatch):
+        # A run interrupted mid-request exits at once instead of
+        # waiting out a wedged worker's request timeout.
+        def post_chunk(endpoint, batch, indices, attempt):
+            return threading.current_thread().daemon
+
+        monkeypatch.setattr(WorkerEndpoint, "_post_chunk", post_chunk)
+        endpoint = RemoteExecutor(["http://127.0.0.1:9"]).endpoints[0]
+        batch = TrialBatch(spec=fast_spec(), trials=1, base_seed=0, label="d")
+        assert endpoint.submit(batch, [0], 0).result(timeout=10) is True
 
     def test_empty_indices_rejected(self, worker_url):
         from repro.harness.exec import spec_to_wire
