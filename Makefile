@@ -69,11 +69,15 @@ experiments-quick:
 
 # Fault-model gates: the pluggable-fault-layer unit suite, the
 # exact-seed differential proving fault_model="crash" is byte-identical
-# to the pre-fault-layer engines, and the E14 crash-vs-omission-vs-late
-# comparison at quick scale (docs/model.md).  CI runs this as the
-# fault-model-smoke job.
+# to the pre-fault-layer engines, the reference engine's delivery rule
+# and full-outcome goldens, reference-engine runs under both omission
+# models (receivers of one round see different inboxes), and the E14
+# crash-vs-omission-vs-late comparison at quick scale (docs/model.md).
+# CI runs this as the fault-model-smoke job.
 faults:
-	python -m pytest tests/test_fault_models.py tests/test_fault_differential.py -q
+	python -m pytest tests/test_fault_models.py tests/test_fault_differential.py tests/test_inbox.py tests/test_reference_goldens.py -q
+	python -m repro run --engine reference --n 32 --t 32 --trials 2 --fault-model send-omission
+	python -m repro run --engine reference --n 32 --t 32 --trials 2 --fault-model receive-omission
 	python -m repro.harness.experiments --only E14 --workers 2
 
 # Service gates: the sweep server + worker + RemoteExecutor suite,

@@ -50,6 +50,8 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, ReproError
+from repro.faultmodels.crash import CrashFaultModel
+from repro.sim.inbox import deliver
 from repro.sim.model import FailureDecision, ProcessCore
 
 __all__ = [
@@ -59,6 +61,10 @@ __all__ = [
     "classify",
     "paper_epsilon",
 ]
+
+#: The evaluator's actions are crash decisions; this model turns one
+#: into the round's withheld map for :func:`~repro.sim.inbox.deliver`.
+_CRASH = CrashFaultModel()
 
 
 class AnalysisBudgetExceeded(ReproError):
@@ -542,17 +548,15 @@ class ValencyAnalyzer:
     ) -> float:
         victims = action.victims
         receivers = [p for p in participants if p not in victims]
-        branch_lists: List[Tuple[int, List[Tuple[float, ProcessCore]]]] = []
-        for pid in receivers:
-            inbox = {}
-            for sender in participants:
-                if sender == pid or sender not in victims:
-                    inbox[sender] = payloads[sender]
-                elif action.receives_from(sender, pid):
-                    inbox[sender] = payloads[sender]
-            branch_lists.append(
-                (pid, self._branch_receive(states[pid], round_index, inbox))
-            )
+        inboxes = deliver(
+            payloads,
+            _CRASH.withheld(action, participants, receivers),
+            receivers,
+        )
+        branch_lists: List[Tuple[int, List[Tuple[float, ProcessCore]]]] = [
+            (pid, self._branch_receive(states[pid], round_index, inboxes[pid]))
+            for pid in receivers
+        ]
 
         new_alive = alive - victims
         total = 0.0

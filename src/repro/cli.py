@@ -133,6 +133,23 @@ def _resilience_note(executor: Executor) -> Optional[str]:
     )
 
 
+def _report_quarantined(executor: Executor) -> int:
+    """Print why each quarantined chunk failed; return the lost trials."""
+    lost = 0
+    for report in executor.reports:
+        for failure in report.failures:
+            trials = failure.trial_indices
+            lost += len(trials)
+            span = f"{trials[0]}-{trials[-1]}" if len(trials) > 1 else trials[0]
+            print(
+                f"error: {report.label}: trial(s) {span} "
+                f"quarantined after {failure.attempts} attempt(s) "
+                f"({failure.kind}): {failure.error}",
+                file=sys.stderr,
+            )
+    return lost
+
+
 def _fault_model_params(
     args: argparse.Namespace,
 ) -> Tuple[Tuple[str, object], ...]:
@@ -181,7 +198,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 label="cli-run",
             )
         )
-    summary = stats.rounds_summary()
+    _report_quarantined(executor)
     fault = (
         "" if spec.fault_model == "crash"
         else f", fault={spec.fault_model}"
@@ -194,10 +211,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ),
         columns=["metric", "value"],
     )
-    table.add_row("mean decision round", summary.mean)
-    table.add_row("min / max round", f"{summary.minimum:g} / {summary.maximum:g}")
-    table.add_row("ci95 half-width", summary.ci95_half_width)
-    table.add_row("mean crashes", sum(stats.crashes) / len(stats.crashes))
+    if stats.decision_rounds:
+        summary = stats.rounds_summary()
+        table.add_row("mean decision round", summary.mean)
+        table.add_row(
+            "min / max round", f"{summary.minimum:g} / {summary.maximum:g}"
+        )
+        table.add_row("ci95 half-width", summary.ci95_half_width)
+        table.add_row(
+            "mean crashes", sum(stats.crashes) / len(stats.crashes)
+        )
     table.add_row("timeouts", stats.timeouts)
     if stats.missing_trials:
         table.add_row("missing trials (quarantined)", stats.missing_trials)
@@ -331,6 +354,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with _make_executor(args, cache_on=not args.no_cache) as executor:
         results = run_sweep(sweep, executor=executor)
         hits, misses = executor.cache_hits, executor.cache_misses
+    lost = _report_quarantined(executor)
     if args.format == "csv":
         rendered = sweep_to_csv(results)
     elif args.format == "json":
@@ -364,7 +388,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {path}")
     else:
         print(rendered)
-    return 0
+    return 1 if lost else 0
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:

@@ -8,7 +8,7 @@ the pre-refactor executions bit for bit.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.model import (
@@ -33,8 +33,9 @@ class CrashFaultModel(FaultModel):
     per victim, exactly ``t`` over the execution.
 
     Type discipline: :meth:`normalize` is the only method that checks
-    decision shapes; the per-message :meth:`delivers` stays branch-lean
-    because the reference engine calls it O(n^2) times per round.
+    decision shapes; :meth:`delivers` and :meth:`withheld` stay
+    branch-lean.  :meth:`withheld` is one set difference per victim
+    instead of a :meth:`delivers` call per (victim, receiver) pair.
     """
 
     name = "crash"
@@ -70,3 +71,15 @@ class CrashFaultModel(FaultModel):
         if allowed is None:
             return True
         return recipient in allowed
+
+    def withheld(
+        self,
+        decision: FaultDecision,
+        participants: Sequence[int],
+        receivers: Sequence[int],
+    ) -> Dict[int, FrozenSet[int]]:
+        everyone = frozenset(receivers)
+        return {
+            v: everyone.difference(decision.deliveries[v], (v,))
+            for v in decision.victims
+        }

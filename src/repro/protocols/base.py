@@ -12,10 +12,21 @@ The engine calls, per round and per live non-halted process:
    wishes to broadcast to everyone (``None`` means "send nothing").
    May flip coins via ``state.rng``; the adversary sees the results.
 2. ``receive(state, r, inbox)`` — Phase B.  ``inbox`` maps sender pid
-   to payload for every message that reached this process *including
-   its own broadcast* (a process always knows its own value; the
-   adversary cannot suppress local knowledge).  The transition mutates
-   ``state`` and may call ``state.decide(v)`` and/or ``state.halt()``.
+   to payload, in ascending sender order, for every message that
+   reached this process *including its own broadcast* (a process always
+   knows its own value; the adversary cannot suppress local knowledge).
+   The transition mutates ``state`` and may call ``state.decide(v)``
+   and/or ``state.halt()``.
+
+The inbox contract: an inbox is read-only (item assignment raises
+``TypeError``), and the engine hands the *same* inbox object to every
+receiver that got the same messages that round, so a protocol must
+never mutate it or keep per-process data in it.  Count it with
+:func:`repro.sim.inbox.tally` — each distinct payload mapped to
+``(count, lowest sender)``, in sender order of first appearance —
+which a shared inbox computes once per round instead of once per
+receiver.  ``tally`` counts a plain dict too, so tests and direct
+callers may pass one.
 """
 
 from __future__ import annotations
@@ -57,7 +68,8 @@ class ConsensusProtocol(abc.ABC):
     def receive(
         self, state: ProcessCore, round_index: int, inbox: Mapping[int, Any]
     ) -> None:
-        """Phase B: consume the round's inbox and update ``state``."""
+        """Phase B: consume the round's read-only, possibly shared inbox
+        and update ``state``."""
 
     def validate_inputs(self, inputs) -> None:
         """Hook for input-domain validation; binary by default."""

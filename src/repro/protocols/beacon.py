@@ -43,6 +43,7 @@ from typing import Any, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.protocols.synran import Stage, SynRanProtocol, SynRanState
+from repro.sim.inbox import tally
 
 __all__ = ["BeaconRanProtocol", "BeaconRanState"]
 
@@ -105,35 +106,40 @@ class BeaconRanProtocol(SynRanProtocol):
             state.beacon_coin = None  # SYNC round carries no beacon
         return ("BBIT", state.b, state.beacon_coin)
 
-    def _receive_probabilistic(
+    def _count_bits(
         self,
         state: BeaconRanState,
         round_index: int,
         inbox: Mapping[int, Tuple[Any, ...]],
-    ) -> None:
-        # Re-tag the inbox for the inherited tally path while
-        # extracting the shared coin.
-        bits: dict = {}
+    ) -> Tuple[int, int]:
+        # Count the bits for the inherited cascade while extracting the
+        # shared coin: the lowest-pid sender's announced beacon coin.
+        ones = 0
+        zeros = 0
         shared: Optional[int] = None
         shared_pid: Optional[int] = None
-        for sender, payload in inbox.items():
+        for payload, (count, lowest) in tally(inbox).items():
             if payload[0] == "BBIT":
-                bits[sender] = ("BIT", payload[1])
+                value = payload[1]
                 coin = payload[2]
                 if coin is not None and (
-                    shared_pid is None or sender < shared_pid
+                    shared_pid is None or lowest < shared_pid
                 ):
-                    shared_pid = sender
+                    shared_pid = lowest
                     shared = coin
             elif payload[0] == "BIT":
-                bits[sender] = payload
+                _, value = payload
             else:
                 raise ProtocolViolationError(
                     f"probabilistic-stage process {state.pid} received "
                     f"{payload[0]!r} message in round {round_index}"
                 )
+            if value == 1:
+                ones += count
+            else:
+                zeros += count
         state._shared_coin = shared  # consumed by _update_choice
-        super()._receive_probabilistic(state, round_index, bits)
+        return ones, zeros
 
     def _update_choice(
         self, state: BeaconRanState, round_index: int, ones: int, zeros: int

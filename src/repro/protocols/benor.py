@@ -39,6 +39,7 @@ from typing import Any, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.protocols.base import ConsensusProtocol
+from repro.sim.inbox import Tally, tally
 from repro.sim.model import ProcessCore
 
 __all__ = ["BenOrProtocol", "BenOrState"]
@@ -115,15 +116,16 @@ class BenOrProtocol(ConsensusProtocol):
                 state.halt()
             return
 
-        for tag, value in inbox.values():
+        counts = tally(inbox)
+        for tag, value in counts:
             if tag == "D":
                 self._decide(state, value)
                 return
 
         if round_index % 2 == 0:
-            self._receive_reports(state, inbox)
+            self._receive_reports(state, counts)
         else:
-            self._receive_proposals(state, inbox)
+            self._receive_proposals(state, counts)
 
     # ------------------------------------------------------------------
 
@@ -132,12 +134,12 @@ class BenOrProtocol(ConsensusProtocol):
         state.d_rounds_left = self.decision_broadcast_rounds
 
     def _receive_reports(
-        self, state: BenOrState, inbox: Mapping[int, Tuple[str, Any]]
+        self, state: BenOrState, messages: Tally
     ) -> None:
         counts = {0: 0, 1: 0}
-        for tag, value in inbox.values():
+        for (tag, value), (count, _) in messages.items():
             if tag == "R":
-                counts[value] += 1
+                counts[value] += count
         state.proposal = None
         for v in (0, 1):
             if counts[v] * 2 > state.n:
@@ -145,12 +147,12 @@ class BenOrProtocol(ConsensusProtocol):
                 break
 
     def _receive_proposals(
-        self, state: BenOrState, inbox: Mapping[int, Tuple[str, Any]]
+        self, state: BenOrState, messages: Tally
     ) -> None:
         counts = {0: 0, 1: 0}
-        for tag, value in inbox.values():
+        for (tag, value), (count, _) in messages.items():
             if tag == "P" and value is not None:
-                counts[value] += 1
+                counts[value] += count
         if counts[0] and counts[1]:
             # The absolute > n/2 report quorum makes this impossible in
             # the fail-stop model; reaching here means an engine bug.

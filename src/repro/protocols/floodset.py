@@ -23,6 +23,7 @@ from typing import FrozenSet, Mapping, Set
 
 from repro.errors import ConfigurationError
 from repro.protocols.base import ConsensusProtocol
+from repro.sim.inbox import tally
 from repro.sim.model import ProcessCore
 
 __all__ = ["FloodSetProtocol", "FloodSetState"]
@@ -86,7 +87,7 @@ class FloodSetProtocol(ConsensusProtocol):
         round_index: int,
         inbox: Mapping[int, FrozenSet[int]],
     ) -> None:
-        for values in inbox.values():
+        for values in tally(inbox):
             state.known |= values
         state.rounds_completed += 1
         if state.rounds_completed >= self.rounds:

@@ -45,6 +45,7 @@ from typing import Any, Dict, Mapping, Set, Tuple
 from repro._math import deterministic_stage_threshold
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.protocols.base import ConsensusProtocol
+from repro.sim.inbox import tally
 from repro.sim.model import ProcessCore
 
 __all__ = ["SynRanProtocol", "SynRanState", "Stage"]
@@ -214,22 +215,7 @@ class SynRanProtocol(ConsensusProtocol):
         round_index: int,
         inbox: Mapping[int, Tuple[str, Any]],
     ) -> None:
-        ones = 0
-        zeros = 0
-        for payload in inbox.values():
-            tag, value = payload
-            if tag != "BIT":
-                # By Lemma 4.3's hand-off argument DET messages cannot
-                # reach a probabilistic-stage process; seeing one means
-                # the engine or a protocol subclass is broken.
-                raise ProtocolViolationError(
-                    f"probabilistic-stage process {state.pid} received "
-                    f"{tag!r} message in round {round_index}"
-                )
-            if value == 1:
-                ones += 1
-            else:
-                zeros += 1
+        ones, zeros = self._count_bits(state, round_index, inbox)
         received = ones + zeros
         state.n_hist[round_index] = received
 
@@ -255,6 +241,31 @@ class SynRanProtocol(ConsensusProtocol):
 
         # Step 3: the threshold / one-side-biased-coin update of b.
         self._update_choice(state, round_index, ones, zeros)
+
+    def _count_bits(
+        self,
+        state: SynRanState,
+        round_index: int,
+        inbox: Mapping[int, Tuple[str, Any]],
+    ) -> Tuple[int, int]:
+        """``(ones, zeros)`` over the round's ``BIT`` messages."""
+        ones = 0
+        zeros = 0
+        for payload, (count, _) in tally(inbox).items():
+            tag, value = payload
+            if tag != "BIT":
+                # By Lemma 4.3's hand-off argument DET messages cannot
+                # reach a probabilistic-stage process; seeing one means
+                # the engine or a protocol subclass is broken.
+                raise ProtocolViolationError(
+                    f"probabilistic-stage process {state.pid} received "
+                    f"{tag!r} message in round {round_index}"
+                )
+            if value == 1:
+                ones += count
+            else:
+                zeros += count
+        return ones, zeros
 
     def _update_choice(
         self, state: SynRanState, round_index: int, ones: int, zeros: int
@@ -301,7 +312,7 @@ class SynRanProtocol(ConsensusProtocol):
         state: SynRanState,
         inbox: Mapping[int, Tuple[str, Any]],
     ) -> None:
-        for payload in inbox.values():
+        for payload in tally(inbox):
             if payload[0] == "DET":
                 state.det_known |= payload[1]
             else:

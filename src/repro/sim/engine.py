@@ -18,7 +18,9 @@ the paper:
    messages the fault model does not drop deliver to everyone; every
    process always sees its own broadcast value, since it is local
    knowledge) and each surviving process runs its receive transition,
-   possibly deciding or halting.
+   possibly deciding or halting.  Receivers that got the same messages
+   share one read-only :class:`~repro.sim.inbox.Inbox`
+   (:func:`~repro.sim.inbox.deliver`).
 
 All failure semantics — who counts against the budget ``t``, who stops
 participating, which messages are dropped — are delegated to the fault
@@ -52,6 +54,7 @@ from repro.errors import (
 )
 from repro.faultmodels.registry import resolve_fault_model
 from repro.lint.sanitizer import SimSanitizer
+from repro.sim.inbox import deliver
 from repro.sim.model import (
     FaultModel,
     ProcessCore,
@@ -281,21 +284,16 @@ class Engine:
             # withheld map (sender -> recipients that miss its round
             # message) is the single delivery oracle: it drives the
             # inboxes here and is recorded verbatim in the trace.
+            # Receivers that miss the same senders share one inbox.
             receivers = [pid for pid in participants if pid not in victims]
             withheld = model.withheld(decision, participants, receivers)
+            inboxes = deliver(payloads, withheld, receivers)
             decided_this_round: Dict[int, int] = {}
             halted_this_round = set()
             for pid in receivers:
-                inbox: Dict[int, Any] = {}
-                for sender in participants:
-                    if sender != pid:
-                        missed = withheld.get(sender)
-                        if missed is not None and pid in missed:
-                            continue
-                    inbox[sender] = payloads[sender]
                 state = states[pid]
                 was_decided = state.decided
-                self.protocol.receive(state, round_index, inbox)
+                self.protocol.receive(state, round_index, inboxes[pid])
                 if state.decided and not was_decided:
                     decided_this_round[pid] = state.decision
                     decisions[pid] = state.decision

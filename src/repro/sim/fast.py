@@ -1,8 +1,9 @@
 """Vectorized engine for SynRan-family protocols at large ``n``.
 
-The reference engine (:mod:`repro.sim.engine`) delivers ``O(n^2)``
-individual messages per round; at ``n`` in the thousands that dominates
-every experiment.  This engine exploits a structural fact: under
+The reference engine (:mod:`repro.sim.engine`) runs one ``receive``
+transition per process per round and builds one inbox per distinct
+delivery; at ``n`` in the thousands that dominates every experiment.
+This engine exploits a structural fact: under
 *silent* crashes (the only kind the scale experiments' adversaries
 use), every receiver of a SynRan round sees exactly the same tallies —
 so the whole population's transition is one vectorized update plus one

@@ -117,6 +117,37 @@ class TestMain:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    # Under receive-omission the tally attack's crash decisions make
+    # every other alive process a faulty receiver, so every trial
+    # exceeds the budget and every chunk is quarantined.
+    BUDGET_ERROR = "BudgetExceededError: adversary used 32 crashes, budget is 16"
+
+    @pytest.mark.parametrize("adversary", ["tally-attack", "random"])
+    def test_run_prints_why_every_trial_failed(self, capsys, adversary):
+        code = main([
+            "run", "--engine", "reference", "--n", "32", "--t", "16",
+            "--trials", "2", "--fault-model", "receive-omission",
+            "--adversary", adversary,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert self.BUDGET_ERROR in captured.err
+        assert "(exception)" in captured.err
+        assert "missing trials (quarantined)" in captured.out
+        assert "mean decision round" not in captured.out
+
+    def test_sweep_fails_and_prints_why_a_cell_lost_trials(self, capsys):
+        code = main([
+            "sweep", "--protocols", "synran", "--adversaries",
+            "tally-attack", "--ns", "32", "--t-frac", "0.5",
+            "--trials", "2", "--no-cache",
+            "--fault-model", "receive-omission",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert self.BUDGET_ERROR in captured.err
+        assert "synran/tally-attack/n=32" in captured.err
+
     def test_experiments_subset(self, capsys):
         code = main(["experiments", "--only", "E4"])
         assert code == 0

@@ -29,6 +29,7 @@ ALL_MODULES = [
     "repro.sim.comm",
     "repro.sim.engine",
     "repro.sim.fast",
+    "repro.sim.inbox",
     "repro.sim.model",
     "repro.sim.registry",
     "repro.sim.replay",
