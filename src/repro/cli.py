@@ -77,7 +77,12 @@ from repro.harness.exec import (
     make_executor,
     spec_params,
 )
-from repro.harness.report import Table, render_table
+from repro.harness.report import (
+    Table,
+    render_table,
+    report_quarantined,
+    resilience_note,
+)
 from repro.harness.resilience import CHAOS_ENV, FaultPlan, RetryPolicy
 from repro.harness.sweep import Sweep, run_sweep
 from repro.protocols.registry import available_protocols, make_protocol
@@ -117,37 +122,6 @@ def _make_executor(args: argparse.Namespace, *, cache_on: bool) -> Executor:
         chunk_timeout=args.chunk_timeout,
         fault_plan=fault_plan,
     )
-
-
-def _resilience_note(executor: Executor) -> Optional[str]:
-    """A one-line recovery summary, or ``None`` for an uneventful run."""
-    summary = executor.resilience_summary()
-    keys = ("resumed_chunks", "retries", "quarantined", "pool_rebuilds")
-    if not any(summary[k] for k in keys):
-        return None
-    return (
-        f"resilience: {summary['resumed_chunks']} chunk(s) resumed, "
-        f"{summary['retries']} retried, "
-        f"{summary['quarantined']} quarantined, "
-        f"{summary['pool_rebuilds']} pool rebuild(s)"
-    )
-
-
-def _report_quarantined(executor: Executor) -> int:
-    """Print why each quarantined chunk failed; return the lost trials."""
-    lost = 0
-    for report in executor.reports:
-        for failure in report.failures:
-            trials = failure.trial_indices
-            lost += len(trials)
-            span = f"{trials[0]}-{trials[-1]}" if len(trials) > 1 else trials[0]
-            print(
-                f"error: {report.label}: trial(s) {span} "
-                f"quarantined after {failure.attempts} attempt(s) "
-                f"({failure.kind}): {failure.error}",
-                file=sys.stderr,
-            )
-    return lost
 
 
 def _fault_model_params(
@@ -198,7 +172,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 label="cli-run",
             )
         )
-    _report_quarantined(executor)
+    report_quarantined(executor)
     fault = (
         "" if spec.fault_model == "crash"
         else f", fault={spec.fault_model}"
@@ -237,7 +211,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         table.add_row(
             "decision-1 fraction", sum(decisions) / len(decisions)
         )
-    note = _resilience_note(executor)
+    note = resilience_note(executor)
     if note:
         table.add_note(note)
     print(render_table(table))
@@ -354,7 +328,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with _make_executor(args, cache_on=not args.no_cache) as executor:
         results = run_sweep(sweep, executor=executor)
         hits, misses = executor.cache_hits, executor.cache_misses
-    lost = _report_quarantined(executor)
+    lost = report_quarantined(executor)
     if args.format == "csv":
         rendered = sweep_to_csv(results)
     elif args.format == "json":
@@ -379,7 +353,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             table.add_note(
                 f"cache: {hits} cell(s) resumed, {misses} computed"
             )
-        note = _resilience_note(executor)
+        note = resilience_note(executor)
         if note:
             table.add_note(note)
         rendered = render_table(table)

@@ -27,8 +27,12 @@ the generic search in :mod:`repro.coinflip.control`.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
+from itertools import compress, count, islice, repeat
 from typing import Any, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.coinflip.game import HIDDEN, OneRoundGame
@@ -53,20 +57,43 @@ class _BitGame(OneRoundGame):
         self.bias = bias
 
     def sample(self, rng: random.Random) -> Tuple[int, ...]:
-        return tuple(
-            1 if rng.random() < self.bias else 0 for _ in range(self.n)
+        """Player ``i`` draws 1 iff the ``i``-th ``rng.random()`` < bias.
+
+        The draw consumes exactly ``2n`` generator words through one
+        ``rng.getrandbits(64 * n)`` call: the same words, in the same
+        order, that ``n`` calls of ``random()`` would use, so the vector
+        and the generator's state afterwards equal the per-player loop's.
+        A ``Random`` subclass that overrides only ``random()`` is
+        therefore not consulted.
+
+        CPython fills ``getrandbits`` with 32-bit Mersenne Twister words,
+        least significant first, and builds ``random()`` from two of
+        them as ``m * 2**-53`` with ``m = (w0 >> 5) << 26 | (w1 >> 6)``.
+        Each little-endian 64-bit chunk holds one ``(w0, w1)`` pair, and
+        ``random() < bias`` exactly when ``m < bias * 2**53`` (scaling
+        by a power of two is exact, and ``m < 2**53`` converts exactly).
+        """
+        n = self.n
+        pairs = np.frombuffer(
+            rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8"
         )
+        m = ((pairs & 0xFFFFFFFF) >> 5 << 26) | (pairs >> 38)
+        ones = m < self.bias * 9007199254740992.0
+        return tuple(ones.view(np.uint8).tobytes())
 
     @staticmethod
     def _counts(values: Sequence[Any]) -> Tuple[int, int]:
         """(ones, zeros) among the visible values."""
-        ones = sum(1 for v in values if v == 1)
-        zeros = sum(1 for v in values if v == 0)
-        return ones, zeros
+        return values.count(1), values.count(0)
 
     @staticmethod
-    def _indices_of(values: Sequence[Any], bit: int) -> list:
-        return [i for i, v in enumerate(values) if v == bit]
+    def _first_positions(
+        values: Sequence[Any], bit: int, need: int
+    ) -> Set[int]:
+        """The first ``need`` positions holding ``bit``, found by a scan
+        that stops at the ``need``-th."""
+        hits = compress(count(), map(operator.eq, values, repeat(bit)))
+        return set(islice(hits, need))
 
 
 class MajorityGame(_BitGame):
@@ -86,12 +113,12 @@ class MajorityGame(_BitGame):
             # Hide zeros until ones > zeros.
             need = max(0, zeros - ones + 1)
             if need <= min(t, zeros):
-                return set(self._indices_of(values, 0)[:need])
+                return self._first_positions(values, 0, need)
             return None
         # Hide ones until ones <= zeros.
         need = max(0, ones - zeros)
         if need <= min(t, ones):
-            return set(self._indices_of(values, 1)[:need])
+            return self._first_positions(values, 1, need)
         return None
 
 
@@ -109,18 +136,17 @@ class MajorityDefaultZeroGame(_BitGame):
     force_set_exact = True
 
     def outcome(self, values: Sequence[Any]) -> int:
-        ones = sum(1 for v in values if v == 1)
-        return 1 if 2 * ones > self.n else 0
+        return 1 if 2 * values.count(1) > self.n else 0
 
     def force_set(
         self, values: Sequence[Any], target: int, t: int
     ) -> Optional[Set[int]]:
-        ones = sum(1 for v in values if v == 1)
+        ones = values.count(1)
         if target == 1:
             return set() if 2 * ones > self.n else None
         need = max(0, ones - self.n // 2)
         if need <= min(t, ones):
-            return set(self._indices_of(values, 1)[:need])
+            return self._first_positions(values, 1, need)
         return None
 
 
@@ -135,20 +161,15 @@ class ParityGame(_BitGame):
     force_set_exact = True
 
     def outcome(self, values: Sequence[Any]) -> int:
-        parity = 0
-        for v in values:
-            if v == 1:
-                parity ^= 1
-        return parity
+        return values.count(1) & 1
 
     def force_set(
         self, values: Sequence[Any], target: int, t: int
     ) -> Optional[Set[int]]:
         if self.outcome(values) == target:
             return set()
-        ones = self._indices_of(values, 1)
-        if ones and t >= 1:
-            return {ones[0]}
+        if t >= 1 and 1 in values:
+            return {values.index(1)}
         return None
 
 
@@ -166,8 +187,7 @@ class QuantileGame(_BitGame):
         super().__init__(n, k=k, bias=bias)
 
     def outcome(self, values: Sequence[Any]) -> int:
-        ones = sum(1 for v in values if v == 1)
-        return min(self.k - 1, ones * self.k // (self.n + 1))
+        return self._bucket_of(values.count(1))
 
     def _bucket_of(self, ones: int) -> int:
         return min(self.k - 1, ones * self.k // (self.n + 1))
@@ -175,18 +195,19 @@ class QuantileGame(_BitGame):
     def force_set(
         self, values: Sequence[Any], target: int, t: int
     ) -> Optional[Set[int]]:
-        ones = sum(1 for v in values if v == 1)
-        if self._bucket_of(ones) < target:
+        ones = values.count(1)
+        if not 0 <= target <= self._bucket_of(ones):
             return None  # can only lower the count
-        # Largest achievable 1-count landing in the target bucket.
-        for o in range(ones, -1, -1):
-            if self._bucket_of(o) == target:
-                need = ones - o
-                if need <= t:
-                    return set(self._indices_of(values, 1)[:need])
-                return None
-            if self._bucket_of(o) < target:
-                break
+        # The largest 1-count up to ``ones`` whose bucket is at most the
+        # target (buckets are monotone in the count).  Its bucket falls
+        # short of the target only when k > n + 1 leaves that bucket
+        # empty.
+        ones_left = min(ones, ((target + 1) * (self.n + 1) - 1) // self.k)
+        if self._bucket_of(ones_left) != target:
+            return None
+        need = ones - ones_left
+        if need <= t:
+            return self._first_positions(values, 1, need)
         return None
 
 

@@ -161,19 +161,17 @@ class ThresholdGame(_BitGame):
         self.threshold = threshold
 
     def outcome(self, values: Sequence[Any]) -> int:
-        ones = sum(1 for v in values if v == 1)
-        return 1 if ones >= self.threshold else 0
+        return 1 if values.count(1) >= self.threshold else 0
 
     def force_set(
         self, values: Sequence[Any], target: int, t: int
     ) -> Optional[Set[int]]:
-        ones_idx = self._indices_of(values, 1)
-        ones = len(ones_idx)
+        ones = values.count(1)
         if target == 1:
             return set() if ones >= self.threshold else None
         need = ones - self.threshold + 1
         if need <= 0:
             return set()
         if need <= min(t, ones):
-            return set(ones_idx[:need])
+            return self._first_positions(values, 1, need)
         return None

@@ -69,7 +69,12 @@ from repro.harness.exec import (
     make_executor,
     spec_params,
 )
-from repro.harness.report import Table, render_table
+from repro.harness.report import (
+    Table,
+    render_table,
+    report_quarantined,
+    resilience_note,
+)
 from repro.harness.resilience import CHAOS_ENV, FaultPlan, RetryPolicy
 from repro.harness.runner import TrialStats
 from repro.protocols import SynRanProtocol
@@ -717,7 +722,7 @@ def experiment_e9_correctness(
                         executor=executor,
                         label=f"E9/{proto_name}/{adv_display}/n={n}/{kind}",
                     )
-                    runs += trials
+                    runs += len(stats.decision_rounds)
                     violations += stats.violation_count()
                     violations += stats.timeouts
             table.add_row(proto_name, adv_display, configs, runs, violations)
@@ -1165,7 +1170,11 @@ def parse_only(parser: argparse.ArgumentParser, chunks: Sequence[str]) -> List[s
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Render the requested experiments to stdout."""
+    """Render the requested experiments to stdout.
+
+    Returns 1 when a quarantined chunk left trials missing (each such
+    chunk gets an ``error:`` line on stderr), else 0.
+    """
     parser = argparse.ArgumentParser(
         description="Regenerate the paper's quantitative claims."
     )
@@ -1241,22 +1250,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"cache: {executor.cache_hits} batch hit(s), "
                 f"{executor.cache_misses} miss(es)"
             )
-        summary = executor.resilience_summary()
-        if any(
-            summary[k]
-            for k in (
-                "resumed_chunks", "retries", "quarantined", "pool_rebuilds"
-            )
-        ):
-            print(
-                f"resilience: {summary['resumed_chunks']} chunk(s) "
-                f"resumed, {summary['retries']} retried, "
-                f"{summary['quarantined']} quarantined, "
-                f"{summary['pool_rebuilds']} pool rebuild(s)"
-            )
+        note = resilience_note(executor)
+        if note:
+            print(note)
     finally:
         executor.close()
-    return 0
+        lost = report_quarantined(executor)
+    return 1 if lost else 0
 
 
 if __name__ == "__main__":

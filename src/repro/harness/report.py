@@ -3,17 +3,29 @@
 Experiments return :class:`Table` objects; benchmarks and the CLI
 render them with :func:`render_table`.  Cells may be strings, ints,
 floats (formatted to a sensible precision), bools (``yes``/``no``), or
-``None`` (``-``).
+``None`` (``-``).  :func:`resilience_note` and
+:func:`report_quarantined` tell the user what an executor recovered
+from and which trials it lost.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Table", "render_table", "format_cell"]
+if TYPE_CHECKING:
+    from repro.harness.exec.executor import Executor
+
+__all__ = [
+    "Table",
+    "format_cell",
+    "render_table",
+    "report_quarantined",
+    "resilience_note",
+]
 
 
 def format_cell(value: Any) -> str:
@@ -96,3 +108,36 @@ def render_table(table: Table) -> str:
     for note in table.notes:
         lines.append(f"  note: {note}")
     return "\n".join(lines)
+
+
+def resilience_note(executor: "Executor") -> Optional[str]:
+    """A one-line recovery summary, or ``None`` for an uneventful run."""
+    summary = executor.resilience_summary()
+    keys = ("resumed_chunks", "retries", "quarantined", "pool_rebuilds")
+    if not any(summary[k] for k in keys):
+        return None
+    return (
+        f"resilience: {summary['resumed_chunks']} chunk(s) resumed, "
+        f"{summary['retries']} retried, "
+        f"{summary['quarantined']} quarantined, "
+        f"{summary['pool_rebuilds']} pool rebuild(s)"
+    )
+
+
+def report_quarantined(executor: "Executor") -> int:
+    """Print one ``error:`` line on stderr per quarantined chunk, with
+    its batch label, trials, failure kind and last error; return the
+    number of trials lost."""
+    lost = 0
+    for report in executor.reports:
+        for failure in report.failures:
+            trials = failure.trial_indices
+            lost += len(trials)
+            span = f"{trials[0]}-{trials[-1]}" if len(trials) > 1 else trials[0]
+            print(
+                f"error: {report.label}: trial(s) {span} "
+                f"quarantined after {failure.attempts} attempt(s) "
+                f"({failure.kind}): {failure.error}",
+                file=sys.stderr,
+            )
+    return lost

@@ -14,6 +14,7 @@ from repro.adversary.registry import (
 )
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
+from repro.harness.resilience import CHAOS_ENV, Fault, FaultPlan
 from repro.protocols import BenOrProtocol, SynRanProtocol
 
 
@@ -147,6 +148,32 @@ class TestMain:
         assert code == 1
         assert self.BUDGET_ERROR in captured.err
         assert "synran/tally-attack/n=32" in captured.err
+
+    def test_experiments_fail_and_count_only_completed_runs(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Trial 0's chunk raises in every E9 batch; with no retries each
+        # batch's one chunk is quarantined and none of its trials runs.
+        path = FaultPlan(faults=(Fault(kind="raise", trial=0, times=5),)).dump(
+            tmp_path / "plan.json"
+        )
+        monkeypatch.setenv(CHAOS_ENV, str(path))
+        code = main([
+            "experiments", "--only", "E9", "--no-cache", "--retries", "0",
+            "--chaos", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        errors = captured.err.splitlines()
+        assert len(errors) == 180
+        assert all(
+            line.startswith("error: E9/") and "(exception): ChaosError" in line
+            for line in errors
+        )
+        assert "180 quarantined" in captured.out
+        rows = [line.split() for line in captured.out.splitlines()]
+        runs = [int(row[3]) for row in rows if len(row) == 5 and row[2] == "6"]
+        assert runs == [0] * 10
 
     def test_experiments_subset(self, capsys):
         code = main(["experiments", "--only", "E4"])

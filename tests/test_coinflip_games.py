@@ -1,10 +1,12 @@
 """Tests for the concrete one-round coin-flipping games."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coinflip.control import exhaustive_force_set
 from repro.coinflip.game import HIDDEN, hide
 from repro.coinflip.games import (
     LeaderGame,
@@ -177,6 +179,21 @@ class TestQuantileGame:
             if s is not None:
                 assert len(s) <= t
                 assert game.outcome_of_hidden(tuple(bits), s) == target
+
+    @pytest.mark.parametrize("n,k", [(1, 4), (2, 5), (3, 3), (4, 9), (6, 4)])
+    def test_oracle_matches_exhaustive_search(self, n, k):
+        """Exact on every vector, also when k > n + 1 leaves buckets
+        that no 1-count reaches."""
+        game = QuantileGame(n, k=k)
+        for bits in itertools.product((0, 1), repeat=n):
+            for target in range(k):
+                for t in range(n + 1):
+                    s = game.force_set(bits, target, t)
+                    smallest = exhaustive_force_set(game, bits, target, t)
+                    assert (s is None) == (smallest is None)
+                    if s is not None:
+                        assert len(s) == len(smallest)
+                        assert game.outcome_of_hidden(bits, s) == target
 
 
 class TestLeaderGame:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.adversary import RandomCrashAdversary, TallyAttackAdversary
-from repro.coinflip.control import force_set
+from repro.coinflip.control import exhaustive_force_set, force_set
 from repro.coinflip.game import hide
 from repro.coinflip.games import (
     MajorityDefaultZeroGame,
@@ -20,6 +20,7 @@ from repro.coinflip.games import (
     ParityGame,
     QuantileGame,
 )
+from repro.coinflip.library_games import ThresholdGame
 from repro.protocols import (
     BenOrProtocol,
     FloodSetProtocol,
@@ -132,6 +133,8 @@ class TestCoinGameInvariants:
             MajorityDefaultZeroGame(9),
             ParityGame(9),
             QuantileGame(9, k=3),
+            QuantileGame(9, k=4),
+            ThresholdGame(9, 5),
         ]
     )
 
@@ -163,6 +166,25 @@ class TestCoinGameInvariants:
             if small is not None:
                 big = force_set(game, tuple(bits), target, t + 1)
                 assert big is not None
+
+    @given(
+        games,
+        st.lists(st.integers(0, 1), min_size=9, max_size=9),
+        st.integers(min_value=0, max_value=9),
+    )
+    @settings(max_examples=150)
+    def test_exact_oracles_are_exact(self, game, bits, t):
+        """``None`` only when no hiding set within ``t`` forces the
+        target; otherwise a witness of the minimum size."""
+        assert game.force_set_exact
+        for target in range(game.k):
+            witness = game.force_set(tuple(bits), target, t)
+            smallest = exhaustive_force_set(game, tuple(bits), target, t)
+            if smallest is None:
+                assert witness is None
+            else:
+                assert witness is not None
+                assert len(witness) == len(smallest)
 
     @given(st.lists(st.integers(0, 1), min_size=4, max_size=12))
     @settings(max_examples=100)
