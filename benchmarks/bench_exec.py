@@ -1,7 +1,7 @@
 """Executor-core benchmark: serial vs process-pool vs warm cache.
 
 Not an experiment table — this measures the execution substrate
-itself on a fixed fast-engine grid (the E5-style synran/tally-attack
+itself on a fixed batch-engine grid (the E5-style synran/tally-attack
 cells) and asserts the core contracts end to end: parallel execution
 returns byte-identical outcomes, and a warm cache answers without
 re-running a single trial.
@@ -11,8 +11,8 @@ Two entry points:
 * ``pytest benchmarks/bench_exec.py --benchmark-only`` — contract
   checks under the pytest-benchmark timer.
 * ``python benchmarks/bench_exec.py [--smoke]`` — measures the same
-  substrate (plus the batch-engine variant of the grid) and writes the
-  machine-readable ``BENCH_exec.json`` artifact (``make bench``).
+  substrate and writes the machine-readable ``BENCH_exec.json``
+  artifact (``make bench``).
 """
 
 import argparse
@@ -25,7 +25,6 @@ ensure_import_path()
 
 from repro.harness.exec import (  # noqa: E402
     ENGINE_BATCH,
-    ENGINE_FAST,
     ExecutionPlan,
     ParallelExecutor,
     ResultCache,
@@ -35,7 +34,7 @@ from repro.harness.exec import (  # noqa: E402
 )
 
 
-def _plan(engine: str = ENGINE_FAST, sizes=(128, 256, 512), trials: int = 8):
+def _plan(sizes=(128, 256, 512), trials: int = 8):
     return ExecutionPlan(
         batches=tuple(
             TrialBatch(
@@ -45,11 +44,11 @@ def _plan(engine: str = ENGINE_FAST, sizes=(128, 256, 512), trials: int = 8):
                     n=n,
                     t=n,
                     inputs="worst",
-                    engine=engine,
+                    engine=ENGINE_BATCH,
                 ),
                 trials=trials,
                 base_seed=101,
-                label=f"bench-exec/{engine}/n={n}",
+                label=f"bench-exec/n={n}",
             )
             for n in sizes
         )
@@ -114,45 +113,37 @@ def main(argv=None) -> int:
 
     sizes = (64, 128) if args.smoke else (128, 256, 512)
     trials = 4 if args.smoke else 8
-    fast_plan = _plan(ENGINE_FAST, sizes, trials)
-    batch_plan = _plan(ENGINE_BATCH, sizes, trials)
+    plan = _plan(sizes, trials)
 
     results = []
-    row, serial_fast = _timed(
-        "serial-fast", lambda: SerialExecutor().run_plan(fast_plan)
-    )
-    results.append(row)
-
-    row, serial_batch = _timed(
-        "serial-batch", lambda: SerialExecutor().run_plan(batch_plan)
+    row, serial = _timed(
+        "serial-batch", lambda: SerialExecutor().run_plan(plan)
     )
     results.append(row)
 
     def run_parallel():
         with ParallelExecutor(2) as executor:
-            return [executor.run_outcomes(b) for b in fast_plan]
+            return [executor.run_outcomes(b) for b in plan]
 
-    row, parallel_fast = _timed("parallel-2-fast", run_parallel)
+    row, parallel = _timed("parallel-2-batch", run_parallel)
     results.append(row)
 
     with tempfile.TemporaryDirectory() as tmp:
-        SerialExecutor(cache=ResultCache(tmp)).run_plan(fast_plan)
+        SerialExecutor(cache=ResultCache(tmp)).run_plan(plan)
 
         def resume():
             executor = SerialExecutor(cache=ResultCache(tmp))
-            executor.run_plan(fast_plan)
+            executor.run_plan(plan)
             return executor
 
-        row, warm = _timed("warm-cache-fast", resume)
+        row, warm = _timed("warm-cache-batch", resume)
         results.append(row)
 
     # The contracts the pytest entry point asserts, re-checked here so
     # a bad measurement can't silently produce a plausible artifact.
-    assert parallel_fast == [
-        SerialExecutor().run_outcomes(b) for b in fast_plan
-    ]
-    assert warm.cache_hits == len(fast_plan) and warm.cache_misses == 0
-    assert len(serial_fast) == len(serial_batch) == len(fast_plan)
+    assert parallel == [SerialExecutor().run_outcomes(b) for b in plan]
+    assert warm.cache_hits == len(plan) and warm.cache_misses == 0
+    assert len(serial) == len(plan)
 
     path = emit(
         "exec",
@@ -160,7 +151,7 @@ def main(argv=None) -> int:
             "grid": "synran/tally-attack, worst-case split inputs",
             "sizes": list(sizes),
             "trials_per_cell": trials,
-            "cells": len(fast_plan),
+            "cells": len(plan),
         },
         results=results,
         smoke=args.smoke,

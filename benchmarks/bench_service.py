@@ -34,7 +34,7 @@ from _emit import emit, ensure_import_path
 ensure_import_path()
 
 from repro.harness.exec import (  # noqa: E402
-    ENGINE_FAST,
+    ENGINE_BATCH,
     ExecutionPlan,
     ParallelExecutor,
     ResultCache,
@@ -62,7 +62,7 @@ def _plan(sizes=(128, 256), trials: int = 8):
                     n=n,
                     t=n,
                     inputs="worst",
-                    engine=ENGINE_FAST,
+                    engine=ENGINE_BATCH,
                 ),
                 trials=trials,
                 base_seed=303,

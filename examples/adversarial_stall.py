@@ -2,7 +2,7 @@
 """Scaling study: how long can the adversary stall SynRan?
 
 Reproduces the headline Θ(t/√(n log(2+t/√n))) shape at laptop scale
-using the vectorized engine: for each n, run SynRan at full budget
+using the counts-level batch engine: for each n, run SynRan at full budget
 (t = n) under the tally attack and compare the measured expected
 decision round against the paper's Theorem-1 and Theorem-2 shapes.
 
@@ -19,7 +19,7 @@ from repro.analysis.stats import summarize
 from repro.harness.runner import run_fast_trials
 from repro.harness.workloads import worst_case_split
 from repro.protocols import SynRanProtocol
-from repro.sim.fast import FastTallyAttack
+from repro.sim.batch import BatchTallyAttack
 
 
 def main() -> int:
@@ -42,7 +42,7 @@ def main() -> int:
         t = n
         stats = run_fast_trials(
             SynRanProtocol,
-            lambda t=t: FastTallyAttack(t),
+            lambda t=t: BatchTallyAttack(t),
             n,
             lambda rng, n=n: worst_case_split(n),
             trials=args.trials,

@@ -18,7 +18,7 @@ from repro.adversary import BenignAdversary
 from repro.analysis.markov import band_of, expected_decision_round
 from repro.harness.runner import run_fast_trials, run_reference_trials
 from repro.protocols import SynRanProtocol
-from repro.sim.fast import FastBenign
+from repro.sim.batch import BatchBenign
 
 
 def main() -> int:
@@ -31,7 +31,7 @@ def main() -> int:
     )
     print(
         f"{'ones':>5}  {'band':>8}  {'analytic':>9}  "
-        f"{'reference':>10}  {'fast':>7}"
+        f"{'reference':>10}  {'batch':>7}"
     )
     for ones in sorted({0, n // 4, int(0.45 * n), int(0.55 * n),
                         int(0.65 * n), int(0.8 * n), n}):
@@ -45,9 +45,9 @@ def main() -> int:
             trials=trials,
             base_seed=1,
         ).rounds_summary().mean
-        fast = run_fast_trials(
+        batch = run_fast_trials(
             SynRanProtocol,
-            FastBenign,
+            BatchBenign,
             n,
             lambda rng, inputs=inputs: inputs,
             trials=trials,
@@ -55,7 +55,7 @@ def main() -> int:
         ).rounds_summary().mean
         print(
             f"{ones:>5}  {band_of(proto, n, ones):>8}  "
-            f"{analytic:>9.3f}  {ref:>10.3f}  {fast:>7.3f}"
+            f"{analytic:>9.3f}  {ref:>10.3f}  {batch:>7.3f}"
         )
     print()
     print(

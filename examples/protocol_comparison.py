@@ -85,7 +85,7 @@ def main() -> int:
         "Ben-Or exits the race at t ~ sqrt(n). FloodSet costs exactly\n"
         "t+1 rounds, so at this small n it still edges out attacked\n"
         "SynRan at t = n-1; the paper's asymptotic win (sqrt(n/log n)\n"
-        "vs n rounds) needs larger n — compare the fast-engine numbers\n"
+        "vs n rounds) needs larger n — compare the batch-engine numbers\n"
         "of examples/adversarial_stall.py: at n = 4096 SynRan under\n"
         "full-budget attack decides in ~170 rounds where FloodSet\n"
         "would need 4096."

@@ -69,10 +69,8 @@ from repro.harness.exec import (
     TrialSpec,
     available_batch2d_adversaries,
     available_batch_adversaries,
-    available_fast_adversaries,
     available_input_kinds,
     build_batch_adversary,
-    build_fast_adversary,
     build_protocol,
     make_executor,
     spec_params,
@@ -159,9 +157,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # is spawned (e.g. benor requires t < n/2), and on adversaries the
     # selected engine has no implementation for.
     build_protocol(spec)
-    if spec.engine == "fast":
-        build_fast_adversary(spec)
-    elif spec.engine in ("batch", "batch2d"):
+    if spec.engine in ("batch", "batch2d"):
         build_batch_adversary(spec)
     with _make_executor(args, cache_on=args.cache) as executor:
         stats = executor.run_batch(
@@ -202,7 +198,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         table.add_row("consensus violations", stats.violation_count())
         ok = stats.violation_count() == 0 and stats.missing_trials == 0
     else:
-        # Fast/batch engines carry no per-trial verdicts; report the
+        # Vectorized engines carry no per-trial verdicts; report the
         # structural check they do support instead of a vacuous pass.
         table.add_row("structural check", "ok" if stats.structural_ok() else "FAILED")
         ok = stats.structural_ok()
@@ -582,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--adversary",
         choices=sorted(
             set(available_adversaries())
-            | set(available_fast_adversaries())
             | set(available_batch_adversaries())
             | set(available_batch2d_adversaries())
         ),
@@ -591,11 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine", choices=ENGINE_KINDS, default=ENGINE_REFERENCE,
         help=(
-            "reference = message-level with full verdicts; fast = "
-            "vectorized per trial; batch = trial-axis vectorized; "
-            "batch2d = trial x process vectorized with per-recipient "
-            "delivery masks (fast/batch/batch2d check structurally, "
-            "SynRan-family only)"
+            "reference = message-level with full verdicts; batch = "
+            "counts-level, trial-axis vectorized; batch2d = trial x "
+            "process vectorized with per-recipient delivery masks "
+            "(batch/batch2d check structurally, SynRan-family only)"
         ),
     )
     run.add_argument("--n", type=int, default=64)

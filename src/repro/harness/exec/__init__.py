@@ -32,11 +32,9 @@ compatibility note.
 from repro.harness.exec.builders import (
     available_batch2d_adversaries,
     available_batch_adversaries,
-    available_fast_adversaries,
     available_input_kinds,
     build_adversary,
     build_batch_adversary,
-    build_fast_adversary,
     build_inputs,
     build_protocol,
 )
@@ -55,7 +53,6 @@ from repro.harness.exec.executor import (
 from repro.harness.exec.spec import (
     ENGINE_BATCH,
     ENGINE_BATCH2D,
-    ENGINE_FAST,
     ENGINE_KINDS,
     ENGINE_REFERENCE,
     ExecutionPlan,
@@ -66,7 +63,6 @@ from repro.harness.exec.spec import (
 )
 from repro.harness.exec.trial import (
     TrialOutcome,
-    execute_fast_trial,
     execute_reference_trial,
     run_spec_batch,
     run_spec_trial,
@@ -86,7 +82,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "ENGINE_BATCH",
     "ENGINE_BATCH2D",
-    "ENGINE_FAST",
     "ENGINE_KINDS",
     "ENGINE_REFERENCE",
     "ExecutionPlan",
@@ -102,16 +97,13 @@ __all__ = [
     "available_batch_adversaries",
     "batch_from_wire",
     "batch_to_wire",
-    "available_fast_adversaries",
     "available_input_kinds",
     "build_adversary",
     "build_batch_adversary",
-    "build_fast_adversary",
     "build_inputs",
     "build_protocol",
     "cache_salt",
     "derive_trial_seed",
-    "execute_fast_trial",
     "execute_reference_trial",
     "make_executor",
     "plan_from_wire",

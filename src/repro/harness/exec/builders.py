@@ -35,12 +35,7 @@ from repro.adversary.registry import make_adversary
 from repro.adversary.static import StaticAdversary
 from repro.errors import ConfigurationError
 from repro.faultmodels.registry import make_fault_model
-from repro.harness.exec.spec import (
-    ENGINE_BATCH,
-    ENGINE_BATCH2D,
-    ENGINE_FAST,
-    TrialSpec,
-)
+from repro.harness.exec.spec import ENGINE_BATCH, ENGINE_BATCH2D, TrialSpec
 from repro.harness.workloads import (
     half_split,
     random_inputs,
@@ -56,24 +51,19 @@ from repro.protocols.symmetric import SymmetricRanProtocol
 from repro.protocols.synran import SynRanProtocol
 from repro.sim.batch import BatchFastAdversary
 from repro.sim.batch2d import Batch2DAdversary
-from repro.sim.fast import FastAdversary
 from repro.sim.registry import (
     BATCH2D_ADVERSARIES,
     BATCH_ADVERSARIES,
-    FAST_ADVERSARIES,
     available_batch2d_adversaries,
     available_batch_adversaries,
-    available_fast_adversaries,
 )
 
 __all__ = [
     "available_batch2d_adversaries",
     "available_batch_adversaries",
-    "available_fast_adversaries",
     "available_input_kinds",
     "build_adversary",
     "build_batch_adversary",
-    "build_fast_adversary",
     "build_fault_model",
     "build_inputs",
     "build_protocol",
@@ -218,23 +208,6 @@ def build_adversary(spec: TrialSpec, probe: object) -> object:
             )
         return make_adversary(spec.adversary, spec.n, spec.t, probe)
     return factory(spec.n, spec.t, probe, params)
-
-
-def build_fast_adversary(spec: TrialSpec) -> FastAdversary:
-    """A fresh fast-engine adversary for ``spec``."""
-    if spec.engine != ENGINE_FAST:
-        raise ConfigurationError(
-            f"spec engine is {spec.engine!r}; build_fast_adversary "
-            "requires an engine='fast' spec"
-        )
-    try:
-        factory = FAST_ADVERSARIES[spec.adversary]
-    except KeyError:
-        raise ConfigurationError(
-            f"adversary {spec.adversary!r} has no fast-engine "
-            f"implementation; available: {available_fast_adversaries()}"
-        ) from None
-    return factory(spec.t, _params(spec.adversary_params))
 
 
 def build_batch_adversary(

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 
 from repro.errors import ConfigurationError
 from repro.harness.exec.cache import ResultCache
-from repro.harness.exec.spec import ExecutionPlan, TrialBatch, TrialSpec
+from repro.harness.exec.spec import ENGINE_BATCH, ExecutionPlan, TrialBatch, TrialSpec
 from repro.harness.exec.trial import TrialOutcome, compute_chunk, outcomes_digest
 from repro.harness.resilience import (
     AuditPolicy,
@@ -492,7 +492,7 @@ class Executor:
         outcomes = list(salvaged.values())
         missing = [i for i in range(batch.trials) if i not in salvaged]
         if missing:
-            chunks = self._chunk_indices(missing, batch.trials)
+            chunks = self._chunk_indices(missing, batch)
             lanes = self._lanes(report, len(chunks))
             scheduler = ChunkScheduler(self, batch, report, chunks)
             outcomes += scheduler.run(lanes)
@@ -503,19 +503,25 @@ class Executor:
         return 0
 
     def _chunk_indices(
-        self, indices: Sequence[int], total: int
+        self, indices: Sequence[int], batch: TrialBatch
     ) -> List[List[int]]:
         """Split ``indices`` into chunks, sized off the *full* batch.
 
-        Sizing off ``total`` (not ``len(indices)``) keeps chunk
+        Sizing off ``batch.trials`` (not ``len(indices)``) keeps chunk
         geometry identical between a fresh run and a resumed one that
         only recomputes a remainder.  By default a batch splits into
-        about four chunks per worker or endpoint, so stragglers rebalance.
+        about four chunks per worker or endpoint, so stragglers
+        rebalance.  An ``engine="batch"`` batch splits into one chunk
+        per worker or endpoint instead: its engine pays a fixed cost
+        per round whatever the chunk's trial count, so every extra
+        chunk repeats that cost.
         """
+        total = batch.trials
         size = self.chunk_size
         if size is None:
             width = self._width()
-            size = -(-total // (width * 4)) if width else total
+            per_lane = 1 if batch.spec.engine == ENGINE_BATCH else 4
+            size = -(-total // (width * per_lane)) if width else total
         ordered = sorted(indices)
         return [ordered[i : i + size] for i in range(0, len(ordered), size)]
 
@@ -549,9 +555,9 @@ class ParallelExecutor(Executor, Lane):
         workers: Pool size (default: CPU count).
         cache: Optional result cache, shared with the serial path.
         chunk_size: Trials per worker task.  Default splits each batch
-            into roughly ``4 * workers`` chunks so stragglers rebalance.
-            Any value yields identical results; it only affects
-            scheduling.
+            into roughly ``4 * workers`` chunks so stragglers rebalance,
+            or ``workers`` chunks for an ``engine="batch"`` batch.  Any
+            value yields identical results; it only affects scheduling.
         retry: Per-chunk :class:`RetryPolicy` (default policy if
             omitted).
         chunk_timeout: Stall detector, in seconds: if *no* in-flight

@@ -44,7 +44,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "ENGINE_BATCH",
     "ENGINE_BATCH2D",
-    "ENGINE_FAST",
     "ENGINE_KINDS",
     "ENGINE_REFERENCE",
     "ExecutionPlan",
@@ -56,10 +55,9 @@ __all__ = [
 ]
 
 ENGINE_REFERENCE = "reference"
-ENGINE_FAST = "fast"
 ENGINE_BATCH = "batch"
 ENGINE_BATCH2D = "batch2d"
-ENGINE_KINDS = (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_BATCH, ENGINE_BATCH2D)
+ENGINE_KINDS = (ENGINE_REFERENCE, ENGINE_BATCH, ENGINE_BATCH2D)
 
 #: Seed-derivation scope used by the factory-based wrappers
 #: (:func:`repro.harness.runner.run_reference_trials` and friends),
@@ -119,9 +117,10 @@ class TrialSpec:
             constructor parameters as canonical ``(key, value)`` tuples
             — build them with :func:`spec_params`.
         max_rounds: Round horizon (``None`` = engine default).
-        engine: ``"reference"``, ``"fast"``, or ``"batch"`` (the
-            trial-axis vectorized engine; same adversary names as
-            ``"fast"``, executed whole-chunk per NumPy call).
+        engine: ``"reference"`` (the message-level engine),
+            ``"batch"`` (the counts-level engine, executed whole-chunk
+            per NumPy call), or ``"batch2d"`` (the two-axis engine with
+            per-process state).
         strict_termination: Raise on horizon instead of recording a
             timeout.
         fault_model: Registered fault-model name (see

@@ -25,27 +25,21 @@ from repro.errors import ConfigurationError
 from repro.harness.exec.builders import (
     build_adversary,
     build_batch_adversary,
-    build_fast_adversary,
     build_fault_model,
     build_inputs,
     build_protocol,
 )
-from repro.harness.exec.spec import (
-    ENGINE_BATCH,
-    ENGINE_BATCH2D,
-    ENGINE_FAST,
-    TrialSpec,
-)
+from repro.harness.exec.spec import TrialSpec
+from repro.sim.batch import BatchResult
 from repro.sim.checks import verify_execution
 from repro.sim.engine import Engine
-from repro.sim.fast import FastEngine
 from repro.sim.model import Verdict
 from repro.sim.registry import BATCH_ENGINES
 
 __all__ = [
     "TrialOutcome",
+    "batch_outcomes",
     "compute_chunk",
-    "execute_fast_trial",
     "execute_reference_trial",
     "outcomes_digest",
     "run_spec_batch",
@@ -78,11 +72,12 @@ class TrialOutcome:
         crashes: Total processes crashed.
         decision: The common decision value (``None`` if none).
         verdict: Consensus verdict as a plain dict (reference engine
-            only; ``None`` for fast-engine trials, whose checking is
+            only; ``None`` for counts-engine trials, whose checking is
             structural).
-        crashes_per_round: Per-round crash counts (fast engine only).
-        senders_per_round: Per-round broadcaster counts (fast engine
+        crashes_per_round: Per-round crash counts (vectorized engines
             only).
+        senders_per_round: Per-round broadcaster counts (vectorized
+            engines only).
     """
 
     trial_index: int
@@ -223,40 +218,27 @@ def execute_reference_trial(
     )
 
 
-def execute_fast_trial(
-    protocol: object,
-    adversary: object,
-    n: int,
-    *,
-    trial_index: int,
-    seed: int,
-    inputs: Sequence[int],
-    max_rounds: Optional[int] = None,
-    strict_termination: bool = False,
-    fault_model: object = None,
-) -> TrialOutcome:
-    """Run one fast-engine trial on fresh live objects."""
-    engine = FastEngine(
-        protocol,
-        adversary,
-        n,
-        seed=seed,
-        max_rounds=max_rounds,
-        strict_termination=strict_termination,
-        fault_model=fault_model,
-    )
-    result = engine.run(inputs)
-    return TrialOutcome(
-        trial_index=trial_index,
-        seed=seed,
-        rounds=result.rounds,
-        decision_round=result.decision_round,
-        timeout=result.decision_round is None,
-        crashes=result.crashes_used,
-        decision=result.decision,
-        crashes_per_round=list(result.crashes_per_round),
-        senders_per_round=list(result.senders_per_round),
-    )
+def batch_outcomes(
+    result: BatchResult, indices: Sequence[int], seeds: Sequence[int]
+) -> List[TrialOutcome]:
+    """One :class:`TrialOutcome` per slot of a vectorized engine's result."""
+    outcomes = []
+    for slot, (index, seed) in enumerate(zip(indices, seeds)):
+        trial = result.trial(slot)
+        outcomes.append(
+            TrialOutcome(
+                trial_index=index,
+                seed=seed,
+                rounds=trial.rounds,
+                decision_round=trial.decision_round,
+                timeout=trial.decision_round is None,
+                crashes=trial.crashes_used,
+                decision=trial.decision,
+                crashes_per_round=trial.crashes_per_round,
+                senders_per_round=trial.senders_per_round,
+            )
+        )
+    return outcomes
 
 
 def run_spec_batch(
@@ -306,24 +288,7 @@ def run_spec_batch(
         strict_termination=spec.strict_termination,
         fault_model=build_fault_model(spec),
     )
-    result = engine.run(inputs, seeds)
-    outcomes = []
-    for slot, (index, seed) in enumerate(zip(indices, seeds)):
-        trial = result.trial(slot)
-        outcomes.append(
-            TrialOutcome(
-                trial_index=index,
-                seed=seed,
-                rounds=trial.rounds,
-                decision_round=trial.decision_round,
-                timeout=trial.decision_round is None,
-                crashes=trial.crashes_used,
-                decision=trial.decision,
-                crashes_per_round=trial.crashes_per_round,
-                senders_per_round=trial.senders_per_round,
-            )
-        )
-    return outcomes
+    return batch_outcomes(engine.run(inputs, seeds), indices, seeds)
 
 
 def run_spec_trial(
@@ -339,22 +304,10 @@ def run_spec_trial(
     target) a *separate* fresh probe protocol, so no state leaks
     between trials or between the adversary's view and the execution.
     """
-    if spec.engine in (ENGINE_BATCH, ENGINE_BATCH2D):
+    if spec.engine in BATCH_ENGINES:
         return run_spec_batch(spec, [trial_index], base_seed)[0]
     seed = spec.trial_seed(base_seed, trial_index)
     inputs = build_inputs(spec, random.Random(seed ^ _INPUT_STREAM_MASK))
-    if spec.engine == ENGINE_FAST:
-        return execute_fast_trial(
-            build_protocol(spec),
-            build_fast_adversary(spec),
-            spec.n,
-            trial_index=trial_index,
-            seed=seed,
-            inputs=inputs,
-            max_rounds=spec.max_rounds,
-            strict_termination=spec.strict_termination,
-            fault_model=build_fault_model(spec),
-        )
     probe = build_protocol(spec)
     adversary = build_adversary(spec, probe)
     return execute_reference_trial(
@@ -382,6 +335,6 @@ def compute_chunk(
     identically.
     """
     ordered = sorted(int(i) for i in indices)
-    if spec.engine in (ENGINE_BATCH, ENGINE_BATCH2D):
+    if spec.engine in BATCH_ENGINES:
         return run_spec_batch(spec, ordered, base_seed)
     return [run_spec_trial(spec, i, base_seed) for i in ordered]

@@ -60,7 +60,7 @@ from repro.coinflip.games import (
 )
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
-    ENGINE_FAST,
+    ENGINE_BATCH,
     Executor,
     ResultCache,
     SerialExecutor,
@@ -364,7 +364,7 @@ def experiment_e5_lower_bound(
                 n=n,
                 t=t,
                 inputs="worst",
-                engine=ENGINE_FAST,
+                engine=ENGINE_BATCH,
             ),
             trials=trials,
             base_seed=101,
@@ -460,7 +460,7 @@ def experiment_e6_upper_bound(
                     t=t,
                     inputs="worst",
                     adversary_params=adv_params,
-                    engine=ENGINE_FAST,
+                    engine=ENGINE_BATCH,
                 ),
                 trials=trials,
                 base_seed=211,
@@ -625,7 +625,7 @@ def experiment_e8_t_sweep(
                 n=n,
                 t=t,
                 inputs="worst",
-                engine=ENGINE_FAST,
+                engine=ENGINE_BATCH,
             ),
             trials=trials,
             base_seed=401,
@@ -994,7 +994,7 @@ def experiment_e13_adversary_cost(
                     n=n,
                     t=n,
                     inputs="worst",
-                    engine=ENGINE_FAST,
+                    engine=ENGINE_BATCH,
                 ),
                 trials=trials,
                 base_seed=901,
@@ -1094,7 +1094,7 @@ def experiment_e14_fault_models(
                     n=n,
                     t=t,
                     inputs="worst",
-                    engine=ENGINE_FAST,
+                    engine=ENGINE_BATCH,
                     fault_model=fault_model,
                     fault_model_params=(
                         spec_params(lag=1) if fault_model == "late" else ()

@@ -1,14 +1,15 @@
 """Seeded Monte-Carlo drivers over (protocol, adversary, inputs) grids.
 
-Two entry points, matching the two engines:
+Two entry points, matching the two engine families:
 
 * :func:`run_reference_trials` — message-level engine, any protocol and
   adversary, full verdicts.
-* :func:`run_fast_trials` — vectorized engine for SynRan-family
-  protocols with :class:`~repro.sim.fast.FastAdversary` attackers,
+* :func:`run_fast_trials` — vectorized engines for SynRan-family
+  protocols with :class:`~repro.sim.batch.BatchFastAdversary` (or
+  two-axis :class:`~repro.sim.batch2d.Batch2DAdversary`) attackers,
   usable at ``n`` in the thousands.
 
-Both are thin wrappers over the single-trial executors in
+Both are thin wrappers over the execution functions in
 :mod:`repro.harness.exec.trial`, kept for callers that hold live
 factories rather than declarative specs.  Spec-based work (anything
 that should run in parallel or hit the result cache) goes through
@@ -27,13 +28,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.errors import ConfigurationError
 from repro.harness.exec.spec import (
     ENGINE_BATCH,
-    ENGINE_FAST,
+    ENGINE_BATCH2D,
     ENGINE_KINDS,
     ENGINE_REFERENCE,
     FACTORY_SCOPE,
@@ -41,12 +42,11 @@ from repro.harness.exec.spec import (
 )
 from repro.harness.exec.trial import (
     TrialOutcome,
-    execute_fast_trial,
+    batch_outcomes,
     execute_reference_trial,
 )
 from repro.sim.batch import BatchFastAdversary
 from repro.sim.batch2d import Batch2DAdversary
-from repro.sim.fast import FastAdversary
 from repro.sim.registry import BATCH_ENGINES
 from repro.sim.model import Verdict
 
@@ -66,13 +66,12 @@ class TrialStats:
         crashes: Per-trial total crash counts.
         decisions: Per-trial common decision (``None`` when absent).
         verdicts: Per-trial consensus verdicts (reference engine only;
-            empty for fast-engine runs, whose checks are structural).
+            empty for vectorized runs, whose checks are structural).
         timeouts: Number of trials that hit the round horizon.
         engine_kind: Which engine produced the batch (``"reference"``,
-            ``"fast"``, or ``"batch"``).  Fast- and batch-engine
-            batches carry no verdicts, so the verdict-based checks
-            below refuse to answer for them rather than report a
-            vacuous pass.
+            ``"batch"``, or ``"batch2d"``).  Vectorized batches carry
+            no verdicts, so the verdict-based checks below refuse to
+            answer for them rather than report a vacuous pass.
         missing_trials: Trials the executor expected but never
             produced — quarantined chunks under the fail-stop-tolerant
             executor.  Nonzero fails :meth:`structural_ok`, so a batch
@@ -138,10 +137,10 @@ class TrialStats:
     def all_ok(self) -> bool:
         """Every consensus verdict passed (reference engine only).
 
-        Raises :class:`ConfigurationError` for fast-engine batches:
-        they carry no verdicts, and an unchecked run must not read as a
-        passing one.  Use :meth:`structural_ok` for the checks the fast
-        engine does support.
+        Raises :class:`ConfigurationError` for vectorized batches: they
+        carry no verdicts, and an unchecked run must not read as a
+        passing one.  Use :meth:`structural_ok` for the checks the
+        vectorized engines do support.
         """
         self._require_checked("all_ok")
         return all(v.ok for v in self.verdicts)
@@ -210,97 +209,52 @@ def run_reference_trials(
 
 def run_fast_trials(
     protocol_factory: Callable[[], object],
-    adversary_factory: Callable[[], FastAdversary],
+    adversary_factory: Callable[[], object],
     n: int,
     inputs_factory: Callable[[random.Random], Sequence[int]],
     *,
     trials: int,
     base_seed: int = 0,
     max_rounds: Optional[int] = None,
-    batch: Union[bool, str] = False,
 ) -> TrialStats:
-    """Run ``trials`` seeded executions on the vectorized engine.
+    """Run ``trials`` seeded executions on a vectorized engine at once.
 
-    ``batch`` selects the vectorized path: ``True`` (or ``"batch"``)
-    advances the trials in lockstep through one
-    :class:`~repro.sim.batch.BatchFastEngine` call, ``"batch2d"``
-    through the two-axis :class:`~repro.sim.batch2d.Batch2DEngine`,
-    instead of a Python loop over :class:`~repro.sim.fast.FastEngine`
-    runs; ``adversary_factory`` must then build the matching adversary
-    kind (:class:`~repro.sim.batch.BatchFastAdversary` or
-    :class:`~repro.sim.batch2d.Batch2DAdversary`).  Per-trial seeds are
-    identical between all modes (the same ``FACTORY_SCOPE`` hashes), so
-    coin-free configurations produce identical outcomes and
-    coin-flipping ones agree in distribution.
+    The engine follows from the adversary's type: a
+    :class:`~repro.sim.batch.BatchFastAdversary` runs the trials in
+    lockstep through one :class:`~repro.sim.batch.BatchFastEngine`
+    call, a :class:`~repro.sim.batch2d.Batch2DAdversary` through the
+    two-axis :class:`~repro.sim.batch2d.Batch2DEngine`.  Per-trial
+    seeds are the same ``FACTORY_SCOPE`` hashes
+    :func:`run_reference_trials` uses.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    adversary = adversary_factory()
+    if isinstance(adversary, BatchFastAdversary):
+        engine_kind = ENGINE_BATCH
+    elif isinstance(adversary, Batch2DAdversary):
+        engine_kind = ENGINE_BATCH2D
+    else:
+        raise ConfigurationError(
+            "run_fast_trials needs a BatchFastAdversary or "
+            f"Batch2DAdversary factory, got {type(adversary).__name__}"
+        )
     seeds = [
         derive_trial_seed(base_seed, FACTORY_SCOPE, index)
         for index in range(trials)
     ]
-    if batch:
-        engine_kind = ENGINE_BATCH if batch is True else str(batch)
-        engine_cls = BATCH_ENGINES.get(engine_kind)
-        if engine_cls is None:
-            raise ConfigurationError(
-                f"unknown batch engine kind {engine_kind!r}; available: "
-                f"{sorted(BATCH_ENGINES)}"
-            )
-        adversary = adversary_factory()
-        expected = (
-            BatchFastAdversary
-            if engine_kind == ENGINE_BATCH
-            else Batch2DAdversary
-        )
-        if not isinstance(adversary, expected):
-            raise ConfigurationError(
-                f"run_fast_trials(batch={engine_kind!r}) needs a "
-                f"{expected.__name__} factory, got "
-                f"{type(adversary).__name__}"
-            )
-        inputs = [
-            inputs_factory(random.Random(seed ^ _INPUT_STREAM_MASK))
-            for seed in seeds
-        ]
-        engine = engine_cls(
-            protocol_factory(),
-            adversary,
-            n,
-            max_rounds=max_rounds,
-            strict_termination=False,
-        )
-        result = engine.run(inputs, seeds)
-        outcomes = []
-        for index, seed in enumerate(seeds):
-            trial = result.trial(index)
-            outcomes.append(
-                TrialOutcome(
-                    trial_index=index,
-                    seed=seed,
-                    rounds=trial.rounds,
-                    decision_round=trial.decision_round,
-                    timeout=trial.decision_round is None,
-                    crashes=trial.crashes_used,
-                    decision=trial.decision,
-                    crashes_per_round=trial.crashes_per_round,
-                    senders_per_round=trial.senders_per_round,
-                )
-            )
-        return TrialStats.from_outcomes(outcomes, engine_kind=engine_kind)
-    outcomes = []
-    for index, seed in zip(range(trials), seeds):
-        inputs = inputs_factory(random.Random(seed ^ _INPUT_STREAM_MASK))
-        outcomes.append(
-            execute_fast_trial(
-                protocol_factory(),
-                adversary_factory(),
-                n,
-                trial_index=index,
-                seed=seed,
-                inputs=inputs,
-                max_rounds=max_rounds,
-                strict_termination=False,
-            )
-        )
-    return TrialStats.from_outcomes(outcomes, engine_kind=ENGINE_FAST)
+    inputs = [
+        inputs_factory(random.Random(seed ^ _INPUT_STREAM_MASK))
+        for seed in seeds
+    ]
+    engine = BATCH_ENGINES[engine_kind](
+        protocol_factory(),
+        adversary,
+        n,
+        max_rounds=max_rounds,
+        strict_termination=False,
+    )
+    outcomes = batch_outcomes(
+        engine.run(inputs, seeds), range(trials), seeds
+    )
+    return TrialStats.from_outcomes(outcomes, engine_kind=engine_kind)

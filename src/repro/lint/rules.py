@@ -130,7 +130,6 @@ _REGISTRY_ROOTS = frozenset(
         "ConsensusProtocol",
         "Protocol",
         "FaultModel",
-        "FastAdversary",
         "BatchFastAdversary",
         "Batch2DAdversary",
     }

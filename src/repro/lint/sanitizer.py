@@ -5,10 +5,13 @@ strict model — fail-stop crashes, a per-round failure budget of
 ``4·sqrt(n·log n) + 1`` for the Section-3 adversary, irrevocable
 decisions — so a silent contract violation in the simulator would
 invalidate every experimental claim.  :class:`SimSanitizer` is an
-independent observer hooked into :class:`repro.sim.engine.Engine` and
-:class:`repro.sim.fast.FastEngine` behind a flag; it re-derives the
+independent observer hooked into the message-level
+:class:`repro.sim.engine.Engine` behind a flag; it re-derives the
 invariants from the raw per-round observations rather than trusting
-the engines' own bookkeeping.
+the engine's own bookkeeping.  (The counts-level engines keep no
+per-process state to audit; they enforce their own contract: invalid
+kill counts and budget overdrafts raise, and by construction the
+population never grows and each trial's decision is written once.)
 
 Checks (each yields a structured :class:`SanitizerViolation`):
 
@@ -33,8 +36,7 @@ constructor argument, mirroring :mod:`repro.faultmodels`):
 * ``send-omission`` / ``receive-omission`` — faulty processes may keep
   speaking but are never obligated to; nobody dies.  ``unexpected-
   crash`` fires if the engine reports any crash victim, ``total-budget``
-  counts *distinct* omission-faulty processes against ``t`` (the fast
-  engines report a per-round high-water mark instead), and
+  counts *distinct* omission-faulty processes against ``t``, and
   ``non-faulty-drop`` fires when a dropped message's faulty endpoint
   (the sender for send-omission, the recipient for receive-omission)
   was never charged as faulty.
@@ -151,15 +153,8 @@ class SimSanitizer:
         self._crashes_total = 0
         self._last_round: Optional[int] = None
         self._rounds_observed = 0
-        # Fast-engine population accounting.
-        self._max_next_senders: Optional[int] = None
-        self._fast_decisions: Optional[Any] = None
-        # Omission accounting: distinct faulty pids (reference engine)
-        # and the per-round suppression high-water mark (fast engines,
-        # where pids are anonymous and distinct-faulty is only bounded
-        # below by the largest single-round suppression total).
+        # Omission accounting: distinct faulty pids.
         self._faulty: set = set()
-        self._omission_hwm = 0
 
     # ------------------------------------------------------------------
 
@@ -252,7 +247,7 @@ class SimSanitizer:
             )
 
     # ------------------------------------------------------------------
-    # reference engine hook
+    # engine hook
     # ------------------------------------------------------------------
 
     def observe_round(
@@ -380,129 +375,6 @@ class SimSanitizer:
         self._halted |= set(halted)
 
     # ------------------------------------------------------------------
-    # vectorized engine hook
-    # ------------------------------------------------------------------
-
-    def observe_fast_round(
-        self,
-        round_index: int,
-        senders: int,
-        crashes: int,
-        decisions: Optional[Sequence[int]] = None,
-        *,
-        omissions: int = 0,
-        view_round: Optional[int] = None,
-    ) -> None:
-        """Record one vectorized-engine round (population counts).
-
-        Args:
-            round_index: The round just executed.
-            senders: Number of alive, non-halted broadcasters this round.
-            crashes: Number of processes the adversary crashed.
-            decisions: Optional full decision vector (``-1`` =
-                undecided) snapshotted *after* the round, for the
-                irrevocability check.
-            omissions: Number of senders whose broadcast was suppressed
-                this round (omission models).  Distinct faulty pids are
-                anonymous at counts level, so the budget check uses the
-                high-water mark of this figure — a lower bound on the
-                distinct-faulty count.
-            view_round: Round whose data the adversary's view carried;
-                arms the ``view-lag`` check.
-        """
-        self._check_round_index(round_index)
-        self._check_view_round(round_index, view_round)
-        if self._omission:
-            if crashes > 0:
-                self._emit(
-                    "unexpected-crash",
-                    round_index,
-                    f"the {self.fault_model!r} model never crashes "
-                    f"processes, yet the engine reported {crashes} "
-                    "crashes",
-                )
-            if omissions < 0 or omissions > senders:
-                self._emit(
-                    "invalid-victim",
-                    round_index,
-                    f"{omissions} suppressed senders among {senders} "
-                    "is impossible",
-                )
-            if (
-                self.per_round_budget is not None
-                and omissions > self.per_round_budget
-            ):
-                self._emit(
-                    "per-round-budget",
-                    round_index,
-                    f"{omissions} suppressed senders in one round "
-                    f"exceeds the per-round budget "
-                    f"{self.per_round_budget}",
-                )
-            self._omission_hwm = max(self._omission_hwm, omissions)
-            if self._omission_hwm > self.t:
-                self._emit(
-                    "total-budget",
-                    round_index,
-                    f"at least {self._omission_hwm} distinct "
-                    f"omission-faulty processes (single-round "
-                    f"high-water mark) exceeds the adversary budget "
-                    f"t={self.t}",
-                )
-            if (
-                self._max_next_senders is not None
-                and senders > self._max_next_senders
-            ):
-                self._emit(
-                    "fail-stop",
-                    round_index,
-                    f"{senders} senders this round, but at most "
-                    f"{self._max_next_senders} participated in the "
-                    "previous round — the population never grows",
-                )
-            self._max_next_senders = senders
-        else:
-            if crashes < 0 or crashes > senders:
-                self._emit(
-                    "invalid-victim",
-                    round_index,
-                    f"{crashes} crashes among {senders} senders is "
-                    "impossible",
-                )
-            if (
-                self._max_next_senders is not None
-                and senders > self._max_next_senders
-            ):
-                self._emit(
-                    "fail-stop",
-                    round_index,
-                    f"{senders} senders this round, but at most "
-                    f"{self._max_next_senders} processes survived the "
-                    "previous round — crashed processes re-appeared",
-                )
-            self._check_crash_budgets(round_index, crashes)
-            self._max_next_senders = senders - crashes
-
-        if decisions is not None:
-            current = list(decisions)
-            previous = self._fast_decisions
-            if previous is not None:
-                flipped = [
-                    pid
-                    for pid, (old, new) in enumerate(zip(previous, current))
-                    if old >= 0 and new != old
-                ]
-                if flipped:
-                    self._emit(
-                        "decision-irrevocability",
-                        round_index,
-                        "decided process(es) changed or revoked their "
-                        "decision",
-                        flipped,
-                    )
-            self._fast_decisions = current
-
-    # ------------------------------------------------------------------
 
     @property
     def ok(self) -> bool:
@@ -520,6 +392,6 @@ class SimSanitizer:
             "lag": self.lag,
             "rounds_observed": self._rounds_observed,
             "crashes_total": self._crashes_total,
-            "faulty_total": max(len(self._faulty), self._omission_hwm),
+            "faulty_total": len(self._faulty),
             "violations": [v.to_dict() for v in self.violations],
         }

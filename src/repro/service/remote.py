@@ -185,7 +185,8 @@ class RemoteExecutor(Executor):
         cache: Optional shared :class:`ResultCache`; completed chunks
             are checkpointed locally exactly as the other executors do.
         chunk_size: Trials per worker request (default: split each
-            batch into roughly ``4 * len(endpoints)`` chunks).
+            batch into roughly ``4 * len(endpoints)`` chunks, or
+            ``len(endpoints)`` chunks for an ``engine="batch"`` batch).
         retry: The shared :class:`RetryPolicy`; ``max_attempts`` and
             the backoff schedule govern chunk re-dispatch, and
             ``pool_failure_limit`` sets both the consecutive-failure

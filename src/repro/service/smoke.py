@@ -37,8 +37,12 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.harness.exec import ExecutionPlan, TrialBatch, TrialSpec
-from repro.harness.exec.trial import ENGINE_FAST
+from repro.harness.exec import (
+    ENGINE_BATCH,
+    ExecutionPlan,
+    TrialBatch,
+    TrialSpec,
+)
 from repro.service.client import ServiceClient
 from repro.service.netio import ServiceUnreachable, request_json
 
@@ -58,7 +62,7 @@ def smoke_plan(trials: int = 24) -> ExecutionPlan:
                     n=16,
                     t=16,
                     inputs="worst",
-                    engine=ENGINE_FAST,
+                    engine=ENGINE_BATCH,
                 ),
                 trials=trials,
                 base_seed=11,
@@ -71,7 +75,7 @@ def smoke_plan(trials: int = 24) -> ExecutionPlan:
                     n=32,
                     t=32,
                     inputs="worst",
-                    engine=ENGINE_FAST,
+                    engine=ENGINE_BATCH,
                 ),
                 trials=trials,
                 base_seed=11,

@@ -15,18 +15,17 @@ Communication links are perfectly reliable: every message a live (or
 partially-delivering crashing) process sends is delivered in the same
 round.  A process that crashes sends nothing in any later round.
 
-Four engines are provided:
+Three engines are provided:
 
 * :mod:`repro.sim.engine` — the message-level reference engine.  Works
   with any :class:`repro.protocols.base.ConsensusProtocol`, records full
   execution traces, and enforces the model's invariants strictly.
-* :mod:`repro.sim.fast` — a vectorized engine for broadcast-bit
+* :mod:`repro.sim.batch` — the counts-level engine for broadcast-bit
   protocols (SynRan and its ablations) that scales to tens of thousands
-  of processes; cross-checked against the reference engine in the
-  integration tests.
-* :mod:`repro.sim.batch` — the trial-axis batch engine: M seeded trials
-  advance in lockstep as ``(M,)`` tally arrays, drawing coins from
-  counter-based hash streams (:mod:`repro.sim.streams`).
+  of processes: M seeded trials advance in lockstep as ``(M,)`` tally
+  arrays, drawing coins from counter-based hash streams
+  (:mod:`repro.sim.streams`); cross-checked against the reference
+  engine in the differential tests.
 * :mod:`repro.sim.batch2d` — the two-axis engine: full ``(M, n)``
   per-process state with mask-level victim selection and per-recipient
   delivery masks; counts adversaries lift onto it bit-identically.

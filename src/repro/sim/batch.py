@@ -1,18 +1,21 @@
-"""Trial-axis vectorized engine: M independent trials per NumPy op.
+"""Counts-level engine: M independent trials per NumPy op.
 
-:class:`~repro.sim.fast.FastEngine` already collapses one *round* to a
-handful of integers, but it still runs one trial per ``run()`` call
-inside a Python round loop — after the process-pool fan-out, that
-interpreter loop is the dominant cost of every Monte-Carlo grid.  This
-module turns the trial axis into the vector axis: an entire batch of M
-independent trials advances in lockstep, one array operation per round,
-with finished trials masked out while the rest keep stepping.
+The reference engine (:mod:`repro.sim.engine`) runs one ``receive``
+transition per process per round; at ``n`` in the thousands that
+dominates every experiment.  This engine exploits a structural fact of
+SynRan-family protocols: under *silent* crashes every receiver of a
+round sees exactly the same tallies, so a trial's whole population
+reduces to a handful of integers and the adversary's per-round choice
+collapses to two: how many 1-senders and how many 0-senders to crash.
+On top of that collapse the trial axis becomes the vector axis: an
+entire batch of M independent trials advances in lockstep, one array
+operation per round, with finished trials masked out while the rest
+keep stepping.
 
-The collapse is sound because the fast engine's per-trial state is
-itself uniform across the population under silent crashes:
+Per trial the state is uniform across the population:
 
-* every sender of a trial shares the same ``b`` history, so the trial
-  reduces to two counts (``ones``, ``zeros``);
+* every sender shares the same ``b`` history, so the trial reduces to
+  two counts (``ones``, ``zeros``);
 * the ``tentative`` flag is set and cleared for all receivers at once,
   so it is one bool per trial (and when it is set, ``b`` is uniform —
   ``ones`` is either the whole population or zero);
@@ -26,29 +29,28 @@ pure function of ``(trial_key, counter)``, where the trial key derives
 from the same hash-based per-trial seed the execution core assigns.
 Trial ``i`` therefore draws identical randomness no matter how the
 batch is chunked, which trials share it, or in what order workers run
-— the executor's chunk-invariance and cache contracts carry over
-unchanged.
+— the executor's chunk-invariance and cache contracts hold unchanged.
+Per trial, ``random.Random(seed)`` yields two ``getrandbits(64)``
+draws: the coin stream's key, then the adversary's seed.
 
-Seed derivation per trial mirrors :meth:`FastEngine.run` exactly
-(``random.Random(seed)`` then two ``getrandbits(64)`` draws for the
-coin stream and the adversary stream), so an oblivious adversary's
-committed plan is byte-identical between the engines and coin-free
-trajectories (unanimous inputs, benign/oblivious adversaries) agree
-exactly, seed for seed.  Coin-flipping trajectories agree only in
-distribution — ``FastEngine`` consumes a ``numpy.random.Generator``
-sequentially while this engine hashes counters — which is what the
-differential test suite checks.
+Coin-free trajectories (unanimous inputs, benign or oblivious crashes,
+decide- and propose-band tallies) are deterministic functions of the
+inputs and the kill schedule, so they agree exactly with the reference
+engine under a matched silent schedule; coin-flipping ones agree in
+distribution.  Both are gated in the differential test suites.
 
-The batch engine does not support the runtime sanitizer (it has no
+The engine does not support the runtime sanitizer (it has no
 per-process state for :class:`~repro.lint.sanitizer.SimSanitizer` to
-audit); use the fast or reference engine for sanitized runs.
+audit).  It enforces the counts-level contract itself: invalid kill
+counts and budget overdrafts raise, the population never grows, and
+each trial's decision is written once.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -64,7 +66,6 @@ from repro.faultmodels.omission import BatchSuppressionLedger
 from repro.faultmodels.registry import resolve_fault_model
 from repro.protocols.synran import SynRanProtocol
 from repro.sim.engine import default_max_rounds
-from repro.sim.fast import FastResult
 from repro.sim.model import COUNTS_OMISSION, FaultModel
 from repro.sim.streams import binomial, fair_binomial, stream_keys
 
@@ -78,6 +79,7 @@ __all__ = [
     "BatchResult",
     "BatchTallyAttack",
     "BatchValencyKeeper",
+    "FastResult",
 ]
 
 #: Integer stage codes (``stage`` array values); order matches the
@@ -95,16 +97,16 @@ _SALT_CRASH_ZEROS = 2
 class BatchFastView:
     """Per-round view handed to a :class:`BatchFastAdversary`.
 
-    The batch analogue of :class:`repro.sim.fast.FastView`: every field
-    that was a scalar there is an ``(M,)`` array here, indexed by trial.
-    Arrays are snapshots — adversaries must not mutate them.
+    All quantities are population-level (views are uniform under silent
+    crashes) and every field but ``round_index`` and ``n`` is an
+    ``(M,)`` array, indexed by trial.  Arrays are snapshots —
+    adversaries must not mutate them.
 
     ``received_history[r]`` holds every trial's delivered count for
     round ``r``.  Entries for rounds a trial spent outside the
     probabilistic stage are engine bookkeeping, not protocol ``N^r``
     values; adversaries must only consult history entries for trials
-    whose ``stage`` is probabilistic (mirroring the scalar engine,
-    where ``n_hist`` simply stops growing after the hand-off).
+    whose ``stage`` is probabilistic.
     """
 
     round_index: int
@@ -143,8 +145,7 @@ class BatchFastAdversary(abc.ABC):
 
     def reset(self, n: int, seeds: Sequence[int]) -> None:
         """Re-key for a new batch; ``seeds[i]`` is trial ``i``'s
-        adversary seed (mirroring the scalar engine's per-trial
-        adversary ``random.Random``)."""
+        adversary seed."""
 
     @abc.abstractmethod
     def choose(self, view: BatchFastView) -> Tuple[np.ndarray, np.ndarray]:
@@ -167,12 +168,10 @@ class BatchBenign(BatchFastAdversary):
 class BatchRandomCrash(BatchFastAdversary):
     """Binomial random crashes at ``rate`` per process per round.
 
-    Distributionally identical to
-    :class:`repro.sim.fast.FastRandomCrash`: per trial, the raw kill
-    counts are ``Binomial(ones, rate)`` and ``Binomial(zeros, rate)``
-    draws (from two salted counter streams), trimmed to the remaining
-    budget by the same decrement-the-larger rule (ties decrement the
-    1-count first).
+    Per trial, the raw kill counts are ``Binomial(ones, rate)`` and
+    ``Binomial(zeros, rate)`` draws (from two salted counter streams),
+    trimmed to the remaining budget by decrementing the larger count
+    (ties decrement the 1-count first).
     """
 
     name = "batch-random-crash"
@@ -202,8 +201,8 @@ class BatchRandomCrash(BatchFastAdversary):
 def _trim_to_budget(
     k1: np.ndarray, k0: np.ndarray, budget: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed form of the scalar trim loop: while over budget,
-    decrement the larger count (ties decrement ``k1``)."""
+    """Closed form of the trim loop: while over budget, decrement the
+    larger count (ties decrement ``k1``)."""
     over = np.maximum(k1 + k0 - np.maximum(budget, 0), 0)
     # Phase 1 of the loop drains the larger count down to the smaller.
     d1 = np.where(k1 >= k0, np.minimum(over, k1 - k0), 0)
@@ -216,12 +215,14 @@ def _trim_to_budget(
 class BatchOblivious(BatchFastAdversary):
     """Non-adaptive per-trial kill plans, committed at reset time.
 
-    The batch counterpart of :class:`repro.sim.fast.FastOblivious`:
-    ``generator(n, t, rng) -> Mapping[int, int]`` is called once per
-    trial with that trial's own ``random.Random(adversary_seed)``, so
-    the committed plans are byte-identical to what the scalar engine
-    builds from the same trial seeds.  Kills are taken zeros-first
-    (deterministic and coin-independent).
+    The counts-level counterpart of
+    :class:`repro.adversary.oblivious.ObliviousAdversary` for silent
+    crashes: ``generator(n, t, rng) -> Mapping[int, int]`` (round ->
+    kill count) is called once per trial, before the first coin is
+    flipped, with that trial's own ``random.Random(adversary_seed)``.
+    Bit classes are immaterial to an oblivious plan; kills are taken
+    zeros-first (deterministic and coin-independent), and each round's
+    count is clamped to the remaining budget and to all but one sender.
     """
 
     name = "batch-oblivious"
@@ -280,11 +281,12 @@ class BatchOblivious(BatchFastAdversary):
 
 
 class BatchTallyAttack(BatchFastAdversary):
-    """Vectorized port of :class:`repro.sim.fast.FastTallyAttack`.
+    """Counts-level port of
+    :class:`repro.adversary.antisynran.TallyAttackAdversary`.
 
     Split mode trims the 1-count into the coin window; bleed mode
-    breaks the STOP stability check just in time.  The scalar
-    fall-through structure is preserved exactly: a trial whose 1-count
+    breaks the STOP stability check just in time.  Identical economics,
+    expressed over the uniform-view counts.  A trial whose 1-count
     already sits inside the window, or whose excess fits the budget,
     takes the split branch *finally*; only trials that considered the
     split and could not afford it (or never qualified) fall through to
@@ -365,18 +367,29 @@ class BatchTallyAttack(BatchFastAdversary):
 
 
 class BatchValencyKeeper(BatchFastAdversary):
-    """Vectorized port of :class:`repro.sim.fast.FastValencyKeeper`.
+    """Valency keeper: the tractable port of
+    :class:`repro.adversary.lowerbound.ExactValencyAdversary`'s
+    strategy (keep both outcomes reachable, block imminent decisions)
+    without its expectimax search, so it scales to arbitrary ``n``.
 
-    Elementwise-identical to
-    :func:`repro.sim.fast.valency_keeper_counts` per trial (the
-    differential suite fuzzes the two against each other): split the
-    1-count into the bivalent coin window when affordable, otherwise
-    shave it below the ``decide_hi`` edge to block the tentative
-    decision, otherwise break STOP stability like the tally attack's
-    bleed.  The branch fall-through structure mirrors the scalar
-    function exactly: an in-window or successfully-split/blocked trial
-    is final; only trials that failed every window branch reach the
-    bleed check.
+    Deterministic and full-information, decided per trial by
+    closed-form count thresholds (the differential suite checks it
+    elementwise against a scalar oracle on fuzzed views):
+
+    1. **Split to the coin window** — if both bit classes are live and
+       the bivalent window ``(propose_lo*prev, propose_hi*prev]`` is
+       reachable, trim the 1-count into it (free when already inside).
+    2. **Block the tentative decide** — if the window is unaffordable
+       but the 1-count sits above the ``decide_hi`` edge, kill just
+       enough 1-senders to drop below it: the round degrades to a
+       propose, not a decision.  (This branch is what distinguishes
+       the keeper from the tally attack, which concedes here.)
+    3. **Break STOP stability** — the tally attack's bleed: if
+       tentative deciders would pass the STOP check, kill the minimum
+       count that re-destabilises it, zeros first.
+
+    An in-window or successfully split/blocked trial is final; only
+    trials that failed every window branch reach the bleed check.
     """
 
     name = "batch-valency-keeper"
@@ -456,15 +469,41 @@ class BatchValencyKeeper(BatchFastAdversary):
 
 
 @dataclass
+class FastResult:
+    """Outcome of one counts-level trial (see :meth:`BatchResult.trial`).
+
+    Attributes:
+        rounds: Total rounds executed.
+        decision_round: First round by whose end every surviving
+            process had decided (``None`` if the horizon was hit).
+        decision: The common decision value (``None`` if none).
+        crashes_used: Total processes crashed.
+        survivors: Number of never-crashed processes.
+        terminated: Whether every survivor decided within the horizon.
+        crashes_per_round: Crash counts, indexed by round.
+        senders_per_round: Number of broadcasting (alive, non-halted)
+            processes at the start of each round — the ``p`` of the
+            paper's Lemma 4.6 cost accounting.
+    """
+
+    rounds: int
+    decision_round: Optional[int]
+    decision: Optional[int]
+    crashes_used: int
+    survivors: int
+    terminated: bool
+    crashes_per_round: List[int] = field(default_factory=list)
+    senders_per_round: List[int] = field(default_factory=list)
+
+
+@dataclass
 class BatchResult:
     """Outcome of one batched execution: trial-indexed arrays.
 
     Scalar sentinel conventions: ``decision_round[i] == -1`` means the
     horizon was hit; ``decision[i] == -1`` means no common decision
-    (which includes the degenerate every-process-crashed termination,
-    exactly as in the scalar engine).  :meth:`trial` rehydrates one
-    trial as a :class:`~repro.sim.fast.FastResult` for code written
-    against the scalar interface.
+    (which includes the degenerate every-process-crashed termination).
+    :meth:`trial` rehydrates one trial as a :class:`FastResult`.
 
     ``crashes_per_round``/``senders_per_round`` are ``(R, M)`` arrays
     over the batch's full horizon; trial ``i``'s own history is the
@@ -485,7 +524,7 @@ class BatchResult:
         return int(self.rounds.shape[0])
 
     def trial(self, i: int) -> FastResult:
-        """Trial ``i`` as a scalar :class:`FastResult`."""
+        """Trial ``i`` as a :class:`FastResult`."""
         rounds = int(self.rounds[i])
         decision_round = int(self.decision_round[i])
         decision = int(self.decision[i])
@@ -510,20 +549,23 @@ class BatchFastEngine:
 
     Args:
         protocol: A :class:`SynRanProtocol` (or subclass) instance; its
-            thresholds/knobs configure the engine (same contract as
-            :class:`~repro.sim.fast.FastEngine`).
+            thresholds/knobs configure the engine, so the constants and
+            ablation knobs carry over unchanged.
         adversary: A :class:`BatchFastAdversary`.  The budget ``t`` is
             enforced independently per trial.
         n: Number of processes per trial.
         max_rounds: Horizon; ``None`` selects the engine default.
         strict_termination: Raise on horizon instead of flagging.
         fault_model: Failure regime (name, instance, or ``None`` for
-            ``crash``); consumed at counts level exactly as in
-            :class:`~repro.sim.fast.FastEngine` — crash kinds shrink
-            the population, omission kinds suppress broadcasts for a
-            round (budget = per-round suppression high-water mark),
-            positive ``lag`` serves the adversary a stale view.  Models
-            without a counts realisation are rejected.
+            ``crash``).  The engine consumes only the model's
+            ``counts_kind`` and ``lag``: crash kinds shrink the
+            population, omission kinds suppress broadcasts for a round
+            without shrinking it (budget = per-round suppression
+            high-water mark, a lower bound on distinct faulty
+            processes), and a positive ``lag`` serves the adversary the
+            stale view of ``lag`` rounds earlier.  Models whose
+            ``counts_kind`` is ``None`` (e.g. ``receive-omission``)
+            cannot collapse to uniform counts and are rejected.
 
     There is no ``sanitizer`` knob: the batch engine keeps no
     per-process state for the sanitizer to audit.  Seeds are passed to
@@ -626,9 +668,8 @@ class BatchFastEngine:
             )
         zeros = n - ones
 
-        # Per-trial stream keys, mirroring FastEngine.run's derivation:
-        # master = Random(seed); coins <- getrandbits(64);
-        # adversary <- getrandbits(64).
+        # Per-trial stream keys: master = Random(seed);
+        # coins <- getrandbits(64); adversary <- getrandbits(64).
         coin_raw = np.empty(M, dtype=np.uint64)
         adv_seeds: List[int] = []
         for i, seed in enumerate(seeds):
@@ -793,8 +834,8 @@ class BatchFastEngine:
             decision_round[stopped] = r
             tent[stop_candidates] = False
 
-            # Threshold cascade (first matching branch wins, as in the
-            # scalar engine's elif chain).
+            # Threshold cascade: the first matching branch wins, as in
+            # SynRanProtocol's elif chain.
             cascade = prob_cont & ~stopped
             if cascade.any():
                 prev = received(r - 1)
@@ -850,7 +891,7 @@ class BatchFastEngine:
             decision_round[finish] = r
 
             # A trial whose every process has crashed terminates with
-            # no decision but a decision_round, like the scalar engine.
+            # no decision but a decision_round.
             # Omission never kills, so no trial dies under it.
             if omission:
                 dead = np.zeros(M, dtype=bool)

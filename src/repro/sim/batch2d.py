@@ -15,9 +15,9 @@ Adversaries return a :class:`Batch2DDecision` in one of two forms:
 
 * **counts** — ``(kill_ones, kill_zeros)`` per trial, exactly the 1-D
   batch adversary contract.  The engine materialises victims as the
-  first ``k`` members of each bit class in pid order (the same rule the
-  scalar :class:`~repro.sim.fast.FastEngine` uses), so any
-  :class:`~repro.sim.batch.BatchFastAdversary` lifts onto this engine
+  first ``k`` members of each bit class in pid order (the rule the
+  reference-engine differential tests script their silent schedules
+  with), so any :class:`~repro.sim.batch.BatchFastAdversary` lifts onto this engine
   via :class:`Batch2DCounts` with **bit-for-bit identical** trajectories
   — coin flips included, because flipping receivers are assigned the
   same per-round hash bits (rank ``j`` in pid order reads bit ``j`` of

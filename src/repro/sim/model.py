@@ -360,7 +360,7 @@ class FaultModel(abc.ABC):
     against the budget ``t``, which processes (if any) crash, which
     point-to-point deliveries are dropped, and what view of the system
     the adversary is allowed to condition on.  The reference engine
-    drives the full protocol; the counts engines (fast/batch) consume
+    drives the full protocol; the counts engines (batch/batch2d) consume
     only :attr:`counts_kind` and :attr:`lag`, because under uniform
     views a round's faults collapse to per-bit-class counts.
 

@@ -2,17 +2,14 @@
 
 The spec layer (:mod:`repro.harness.exec.builders`) constructs live
 objects from names that cross process boundaries; these tables are the
-single source of truth for which names the fast, batch, and two-axis
-batch engines accept.  They live here — next to the classes they name —
+single source of truth for which names the 1-D counts engine and the
+two-axis engine accept.  They live here — next to the classes they name —
 so the ``sim`` package is registry-complete in the REP002 sense: every
 concrete adversary below is reachable from a table,
 and every table key is documented in ``docs/registries.md``.
 
-Three invariants the tables maintain:
+Two invariants the tables maintain:
 
-* :data:`FAST_ADVERSARIES` and :data:`BATCH_ADVERSARIES` stay
-  name-for-name identical, so flipping a spec between ``engine="fast"``
-  and ``engine="batch"`` never changes which attacks are expressible.
 * :data:`BATCH2D_ADVERSARIES` is a superset of
   :data:`BATCH_ADVERSARIES`: every counts-level name lifts through
   :class:`~repro.sim.batch2d.Batch2DCounts` with bit-identical
@@ -43,43 +40,16 @@ from repro.sim.batch2d import (
     Batch2DEngine,
     Batch2DPartition,
 )
-from repro.sim.fast import (
-    FastAdversary,
-    FastBenign,
-    FastOblivious,
-    FastRandomCrash,
-    FastTallyAttack,
-    FastValencyKeeper,
-)
 
 __all__ = [
     "BATCH2D_ADVERSARIES",
     "BATCH_ADVERSARIES",
     "BATCH_ENGINES",
-    "FAST_ADVERSARIES",
     "available_batch2d_adversaries",
     "available_batch_adversaries",
-    "available_fast_adversaries",
 ]
 
 _Params = Dict[str, object]
-
-
-FAST_ADVERSARIES: Dict[str, Callable[[int, _Params], FastAdversary]] = {
-    "benign": lambda t, p: FastBenign(),
-    "random": lambda t, p: FastRandomCrash(t, **{"rate": 0.1, **p}),
-    "tally-attack": lambda t, p: FastTallyAttack(t, **p),
-    "tally-split-only": lambda t, p: FastTallyAttack(
-        t, enable_bleed=False, **p
-    ),
-    "tally-bleed-only": lambda t, p: FastTallyAttack(
-        t, enable_split=False, **p
-    ),
-    "oblivious-calibrated": lambda t, p: FastOblivious.from_schedule(
-        t, calibrated_drip_schedule
-    ),
-    "valency-keeper": lambda t, p: FastValencyKeeper(t, **p),
-}
 
 
 BATCH_ADVERSARIES: Dict[
@@ -124,11 +94,6 @@ BATCH_ENGINES: Dict[str, type] = {
     "batch": BatchFastEngine,
     "batch2d": Batch2DEngine,
 }
-
-
-def available_fast_adversaries() -> List[str]:
-    """Sorted adversary names usable with the fast engine."""
-    return sorted(FAST_ADVERSARIES)
 
 
 def available_batch_adversaries() -> List[str]:

@@ -24,9 +24,9 @@ from repro.sim.batch import (
     BatchOblivious,
     BatchRandomCrash,
     BatchTallyAttack,
+    FastResult,
     _trim_to_budget,
 )
-from repro.sim.fast import FastResult
 
 
 def _view(M=4, n=10, **overrides):

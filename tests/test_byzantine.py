@@ -28,6 +28,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
+    ENGINE_REFERENCE,
     ExecutionPlan,
     ResultCache,
     SerialExecutor,
@@ -35,7 +36,7 @@ from repro.harness.exec import (
     TrialSpec,
 )
 from repro.harness.exec.cache import cache_salt
-from repro.harness.exec.trial import ENGINE_FAST, outcomes_digest
+from repro.harness.exec.trial import outcomes_digest
 from repro.harness.resilience import (
     AuditPolicy,
     CircuitBreaker,
@@ -59,14 +60,14 @@ from repro.service.smoke import wait_healthz
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def fast_spec(**overrides):
+def tally_spec(**overrides):
     fields = dict(
         protocol="synran",
         adversary="tally-attack",
         n=16,
         t=16,
         inputs="worst",
-        engine=ENGINE_FAST,
+        engine=ENGINE_REFERENCE,
     )
     fields.update(overrides)
     return TrialSpec(**fields)
@@ -74,7 +75,7 @@ def fast_spec(**overrides):
 
 def small_batch(trials=8, base_seed=5, label="byz"):
     return TrialBatch(
-        spec=fast_spec(), trials=trials, base_seed=base_seed, label=label
+        spec=tally_spec(), trials=trials, base_seed=base_seed, label=label
     )
 
 
@@ -420,11 +421,11 @@ def two_cell_plan(trials=4, base_seed=7):
     return ExecutionPlan(
         batches=(
             TrialBatch(
-                spec=fast_spec(), trials=trials, base_seed=base_seed,
+                spec=tally_spec(), trials=trials, base_seed=base_seed,
                 label="cell-16",
             ),
             TrialBatch(
-                spec=fast_spec(n=32, t=32), trials=trials,
+                spec=tally_spec(n=32, t=32), trials=trials,
                 base_seed=base_seed, label="cell-32",
             ),
         )
@@ -603,7 +604,7 @@ class TestJournalSigkill:
         from repro.harness.resilience import CHAOS_ENV
 
         batch = TrialBatch(
-            spec=fast_spec(), trials=12, base_seed=7, label="journal"
+            spec=tally_spec(), trials=12, base_seed=7, label="journal"
         )
         plan = ExecutionPlan(batches=(batch,))
         cache_root = tmp_path / "cache"

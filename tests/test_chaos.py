@@ -23,7 +23,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
-    ENGINE_FAST,
+    ENGINE_REFERENCE,
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
@@ -49,22 +49,22 @@ def no_ambient_chaos(monkeypatch):
     monkeypatch.delenv(CHAOS_ENV, raising=False)
 
 
-def fast_spec(**overrides):
+def tally_spec(**overrides):
     fields = dict(
         protocol="synran",
         adversary="tally-attack",
         n=16,
         t=16,
         inputs="worst",
-        engine=ENGINE_FAST,
+        engine=ENGINE_REFERENCE,
     )
     fields.update(overrides)
     return TrialSpec(**fields)
 
 
-def fast_batch(trials=12, base_seed=7):
+def tally_batch(trials=12, base_seed=7):
     return TrialBatch(
-        spec=fast_spec(), trials=trials, base_seed=base_seed, label="chaos"
+        spec=tally_spec(), trials=trials, base_seed=base_seed, label="chaos"
     )
 
 
@@ -173,7 +173,7 @@ class TestInjectionHooks:
         assert slept == [0.25]
 
     def test_apply_corruption_batch_entry(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         cache.store(batch, baseline_outcomes(batch))
         assert cache.load(batch) is not None
@@ -182,7 +182,7 @@ class TestInjectionHooks:
         assert cache.load(batch) is None  # corrupt doc is a miss
 
     def test_apply_corruption_partial_entry(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -194,7 +194,7 @@ class TestInjectionHooks:
         assert sorted(salvaged) == [0, 1, 2]
 
     def test_apply_corruption_without_cache_or_plan(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         assert apply_corruption(None, batch, FaultPlan()) == 0
         cache = ResultCache(tmp_path / "cache")
         assert apply_corruption(cache, batch, None) == 0  # env unset
@@ -209,7 +209,7 @@ class TestFaultPaths:
     def test_killed_worker_breaks_and_rebuilds_pool(
         self, monkeypatch, tmp_path
     ):
-        batch = fast_batch()
+        batch = tally_batch()
         expected = jsonable(baseline_outcomes(batch))
         activate_plan(monkeypatch, tmp_path, FaultPlan((Fault("kill", 4),)))
         with ParallelExecutor(
@@ -226,7 +226,7 @@ class TestFaultPaths:
         assert not report.degraded_to_serial
 
     def test_stalled_chunk_times_out_and_retries(self, monkeypatch, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         expected = jsonable(baseline_outcomes(batch))
         activate_plan(
             monkeypatch,
@@ -253,7 +253,7 @@ class TestFaultPaths:
         # death has already broken the pool, so re-submitting it raises
         # BrokenProcessPool from submit itself.  That is a pool failure
         # like any other: rebuild the pool and carry on.
-        batch = fast_batch()
+        batch = tally_batch()
         expected = jsonable(baseline_outcomes(batch))
         activate_plan(
             monkeypatch, tmp_path, FaultPlan((Fault("raise", 4, times=1),))
@@ -293,7 +293,7 @@ class TestFaultPaths:
         # failed one's backoff, so the retry falls due while the
         # scheduler is writing and nothing is in flight: it must still
         # be woken for and run.
-        batch = fast_batch()
+        batch = tally_batch()
         expected = jsonable(baseline_outcomes(batch))
         activate_plan(
             monkeypatch, tmp_path, FaultPlan((Fault("raise", 10, times=1),))
@@ -330,7 +330,7 @@ class TestFaultPaths:
     def test_repeated_pool_breaks_degrade_to_serial(
         self, monkeypatch, tmp_path
     ):
-        batch = fast_batch()
+        batch = tally_batch()
         expected = jsonable(baseline_outcomes(batch))
         # Every chunk kills its worker for two attempts, so no chunk
         # can complete (and reset the consecutive-failure counter)
@@ -370,7 +370,7 @@ class TestChaosEquivalence:
         self, monkeypatch, tmp_path, workers
     ):
         """Kill + raise + timeout + corrupted cache doc, zero lost trials."""
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         # Fault-free serial baseline; also warms the cache so the
         # corrupt fault has a real document to destroy.
@@ -424,12 +424,12 @@ class TestChaosEquivalence:
 _RESUME_DRIVER = """
 import sys
 from repro.harness.exec import (
-    ENGINE_FAST, ParallelExecutor, ResultCache, TrialBatch, TrialSpec,
+    ENGINE_REFERENCE, ParallelExecutor, ResultCache, TrialBatch, TrialSpec,
 )
 
 spec = TrialSpec(
     protocol="synran", adversary="tally-attack", n=16, t=16,
-    inputs="worst", engine=ENGINE_FAST,
+    inputs="worst", engine=ENGINE_REFERENCE,
 )
 batch = TrialBatch(spec=spec, trials=12, base_seed=7, label="chaos")
 with ParallelExecutor(2, cache=ResultCache(sys.argv[1]), chunk_size=3) as ex:
@@ -439,7 +439,7 @@ with ParallelExecutor(2, cache=ResultCache(sys.argv[1]), chunk_size=3) as ex:
 
 class TestInterruptResume:
     def test_killed_run_resumes_from_chunk_ledger(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache_root = tmp_path / "cache"
         cache = ResultCache(cache_root)
         expected = jsonable(baseline_outcomes(batch))

@@ -2,7 +2,7 @@
 
 The repo's claim is that ``--seed`` fully determines a run: the
 reference engine reproduces a *byte-identical* trace serialization,
-and the fast engine reproduces identical decisions and round counts.
+and the counts engine reproduces identical decisions and round counts.
 Every test runs the same configuration twice from scratch and compares.
 """
 
@@ -15,8 +15,8 @@ from repro.adversary.registry import available_adversaries, make_adversary
 from repro.coinflip.control import find_controllable_outcome
 from repro.coinflip.games import MajorityGame
 from repro.protocols import make_protocol
+from repro.sim.batch import BatchFastEngine, BatchRandomCrash, BatchTallyAttack
 from repro.sim.engine import Engine
-from repro.sim.fast import FastEngine, FastRandomCrash, FastTallyAttack
 from repro.protocols.synran import SynRanProtocol
 
 _PROTOCOL_FOR = {
@@ -51,24 +51,26 @@ class TestReferenceEngine:
         assert len(traces) > 1
 
 
-class TestFastEngine:
+class TestBatchEngine:
     @pytest.mark.parametrize(
         "adv_factory",
-        [lambda t: FastRandomCrash(t, rate=0.1), lambda t: FastTallyAttack(t)],
+        [
+            lambda t: BatchRandomCrash(t, rate=0.1),
+            lambda t: BatchTallyAttack(t),
+        ],
         ids=["random", "tally"],
     )
     def test_same_seed_same_outcome(self, adv_factory):
         n, t = 256, 64
 
         def run():
-            engine = FastEngine(
+            engine = BatchFastEngine(
                 SynRanProtocol(),
                 adv_factory(t),
                 n,
-                seed=23,
                 strict_termination=False,
             )
-            r = engine.run([i % 2 for i in range(n)])
+            r = engine.run([i % 2 for i in range(n)], [23]).trial(0)
             return (
                 r.rounds,
                 r.decision_round,

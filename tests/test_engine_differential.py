@@ -1,33 +1,31 @@
-"""Differential tests: the two engines must agree exactly on
-coin-free executions.
+"""Differential tests: the reference and counts-level engines must agree
+exactly on coin-free executions.
 
 When no process ever reaches the coin band (unanimous inputs, or
 tallies that never enter the window), the execution is a deterministic
-function of the inputs and the crash schedule — so the reference and
-vectorized engines must produce *identical* results, not merely the
-same distribution.  This pins the two implementations of the cascade,
+function of the inputs and the crash schedule — so the message-level
+reference engine and :class:`BatchFastEngine` (run here one trial at a
+time, M = 1) must produce *identical* results, not merely the same
+distribution.  This pins the two implementations of the cascade,
 the STOP rule, the hand-off, and the deterministic stage against each
 other, branch by branch.
 """
 
-import math
-import random
-
-import pytest
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro._math import deterministic_stage_threshold
 from repro.adversary import StaticAdversary
 from repro.protocols import SynRanProtocol
+from repro.sim.batch import BatchFastAdversary, BatchFastEngine
 from repro.sim.engine import Engine
-from repro.sim.fast import FastAdversary, FastEngine
 
 
-class ScriptedFastAdversary(FastAdversary):
-    """Fast-engine adversary that kills scripted counts per round,
+class ScriptedBatchAdversary(BatchFastAdversary):
+    """Counts adversary that kills scripted counts per round,
     matching a reference-engine silent StaticAdversary."""
 
-    name = "scripted-fast"
+    name = "scripted-batch"
 
     def __init__(self, t, kills_per_round):
         super().__init__(t)
@@ -37,16 +35,16 @@ class ScriptedFastAdversary(FastAdversary):
         # Counts must match what the scripted reference schedule
         # kills among each bit class this round.
         k1, k0 = self.kills_per_round.get(view.round_index, (0, 0))
-        return (min(k1, view.ones), min(k0, view.zeros))
+        return (np.minimum(k1, view.ones), np.minimum(k0, view.zeros))
 
 
 def _matched_adversaries(n, kills, inputs):
-    """Build (reference StaticAdversary, fast ScriptedFastAdversary)
-    that crash the same bit-classes in the same rounds.
+    """Build (reference StaticAdversary, ScriptedBatchAdversary) that
+    crash the same bit-classes in the same rounds.
 
     ``kills`` maps round -> (kill_ones, kill_zeros).  Victims for the
-    reference schedule are chosen in pid order within each class,
-    matching the fast engine's selection rule.  Only valid while bits
+    reference schedule are chosen in pid order within each class
+    (which victims die is immaterial under uniform views).  Only valid while bits
     equal inputs (round 0) or unanimity (later) — i.e. for coin-free
     executions, which is what these tests run.
     """
@@ -68,20 +66,19 @@ def _matched_adversaries(n, kills, inputs):
             schedule[r] = list(victims)
     return (
         StaticAdversary(t=total, schedule=schedule),
-        ScriptedFastAdversary(total, kills),
+        ScriptedBatchAdversary(total, kills),
     )
 
 
 def run_both(n, inputs, kills, seed=0):
-    ref_adv, fast_adv = _matched_adversaries(n, kills, inputs)
+    ref_adv, counts_adv = _matched_adversaries(n, kills, inputs)
     ref = Engine(
         SynRanProtocol(), ref_adv, n, seed=seed,
         strict_termination=False,
     ).run(inputs)
-    fast = FastEngine(
-        SynRanProtocol(), fast_adv, n, seed=seed,
-        strict_termination=False,
-    ).run(inputs)
+    fast = BatchFastEngine(
+        SynRanProtocol(), counts_adv, n, strict_termination=False,
+    ).run(inputs, [seed]).trial(0)
     return ref, fast
 
 

@@ -10,7 +10,7 @@ from repro.adversary.registry import available_adversaries
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
     ENGINE_BATCH,
-    ENGINE_FAST,
+    ENGINE_BATCH2D,
     ENGINE_REFERENCE,
     ExecutionPlan,
     ParallelExecutor,
@@ -19,7 +19,7 @@ from repro.harness.exec import (
     TrialBatch,
     TrialOutcome,
     TrialSpec,
-    available_fast_adversaries,
+    available_batch_adversaries,
     build_adversary,
     build_protocol,
     derive_trial_seed,
@@ -34,14 +34,14 @@ from repro.harness.runner import TrialStats
 from repro.protocols.registry import available_protocols
 
 
-def fast_spec(**overrides):
+def tally_spec(**overrides):
     fields = dict(
         protocol="synran",
         adversary="tally-attack",
         n=16,
         t=16,
         inputs="worst",
-        engine=ENGINE_FAST,
+        engine=ENGINE_BATCH,
     )
     fields.update(overrides)
     return TrialSpec(**fields)
@@ -98,23 +98,23 @@ class TestSeedDerivation:
 
 class TestTrialSpec:
     def test_hash_is_stable(self):
-        assert fast_spec().spec_hash() == fast_spec().spec_hash()
+        assert tally_spec().spec_hash() == tally_spec().spec_hash()
 
     def test_hash_changes_with_any_field(self):
-        base = fast_spec().spec_hash()
-        assert fast_spec(n=32, t=32).spec_hash() != base
-        assert fast_spec(adversary="benign").spec_hash() != base
-        assert fast_spec(max_rounds=5).spec_hash() != base
+        base = tally_spec().spec_hash()
+        assert tally_spec(n=32, t=32).spec_hash() != base
+        assert tally_spec(adversary="benign").spec_hash() != base
+        assert tally_spec(max_rounds=5).spec_hash() != base
         assert (
-            fast_spec(
+            tally_spec(
                 adversary_params=spec_params(stop_fraction=0.05)
             ).spec_hash()
             != base
         )
 
     def test_spec_is_hashable_and_equal_by_value(self):
-        assert fast_spec() == fast_spec()
-        assert hash(fast_spec()) == hash(fast_spec())
+        assert tally_spec() == tally_spec()
+        assert hash(tally_spec()) == hash(tally_spec())
 
     def test_spec_params_sorted_and_validated(self):
         assert spec_params(b=1, a=2) == (("a", 2), ("b", 1))
@@ -133,7 +133,7 @@ class TestTrialSpec:
     )
     def test_invalid_specs_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
-            fast_spec(**overrides)
+            tally_spec(**overrides)
 
     def test_every_registry_spec_is_picklable(self):
         # Specs carry only names and primitives, so every registry-
@@ -157,11 +157,11 @@ class TestTrialSpec:
                 assert build_adversary(spec, probe) is not None
 
     def test_every_fast_adversary_runs(self):
-        for adversary in available_fast_adversaries():
+        for adversary in available_batch_adversaries():
             outcome = run_spec_trial(
-                fast_spec(adversary=adversary, n=8, t=8), 0, 1
+                tally_spec(adversary=adversary, n=8, t=8), 0, 1
             )
-            assert outcome.seed == fast_spec(
+            assert outcome.seed == tally_spec(
                 adversary=adversary, n=8, t=8
             ).trial_seed(1, 0)
 
@@ -169,23 +169,23 @@ class TestTrialSpec:
 class TestBatchAndPlan:
     def test_batch_requires_trials(self):
         with pytest.raises(ConfigurationError):
-            TrialBatch(spec=fast_spec(), trials=0)
+            TrialBatch(spec=tally_spec(), trials=0)
 
     def test_batch_key_covers_seed_and_trials(self):
-        batch = TrialBatch(spec=fast_spec(), trials=3, base_seed=1)
+        batch = TrialBatch(spec=tally_spec(), trials=3, base_seed=1)
         assert (
-            TrialBatch(spec=fast_spec(), trials=3, base_seed=2).batch_key()
+            TrialBatch(spec=tally_spec(), trials=3, base_seed=2).batch_key()
             != batch.batch_key()
         )
         assert (
-            TrialBatch(spec=fast_spec(), trials=4, base_seed=1).batch_key()
+            TrialBatch(spec=tally_spec(), trials=4, base_seed=1).batch_key()
             != batch.batch_key()
         )
 
     def test_plan_counts(self):
         plan = ExecutionPlan(
             batches=(
-                TrialBatch(spec=fast_spec(), trials=3),
+                TrialBatch(spec=tally_spec(), trials=3),
                 TrialBatch(spec=reference_spec(), trials=2),
             )
         )
@@ -197,11 +197,13 @@ class TestWorkerInvariance:
     @pytest.mark.parametrize(
         "batch",
         [
-            TrialBatch(spec=fast_spec(), trials=6, base_seed=5),
             TrialBatch(spec=reference_spec(), trials=4, base_seed=5),
             TrialBatch(spec=batch_spec(), trials=6, base_seed=5),
+            TrialBatch(
+                spec=batch_spec(engine=ENGINE_BATCH2D), trials=6, base_seed=5
+            ),
         ],
-        ids=["fast", "reference", "batch"],
+        ids=["reference", "batch", "batch2d"],
     )
     def test_serial_equals_parallel_1_and_4(self, batch):
         serial = SerialExecutor().run_outcomes(batch)
@@ -212,19 +214,42 @@ class TestWorkerInvariance:
         assert serial == parallel_one == parallel_four
 
     def test_stats_identical_across_executors(self):
-        batch = TrialBatch(spec=fast_spec(), trials=6, base_seed=9)
+        batch = TrialBatch(spec=tally_spec(), trials=6, base_seed=9)
         serial = SerialExecutor().run_batch(batch)
         with ParallelExecutor(4, chunk_size=1) as four:
             parallel = four.run_batch(batch)
         assert serial == parallel
 
     def test_chunk_size_is_irrelevant(self):
-        batch = TrialBatch(spec=fast_spec(), trials=5, base_seed=3)
+        batch = TrialBatch(spec=tally_spec(), trials=5, base_seed=3)
         results = []
         for chunk_size in (1, 2, 5):
             with ParallelExecutor(2, chunk_size=chunk_size) as executor:
                 results.append(executor.run_outcomes(batch))
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize(
+        "spec, chunks",
+        [(batch_spec(), 2), (reference_spec(), 8)],
+        ids=["batch", "reference"],
+    )
+    def test_default_chunk_geometry(self, spec, chunks, monkeypatch):
+        # A counts batch splits once per worker (its engine pays a
+        # fixed cost per round whatever the chunk size); per-trial
+        # engines split four times per worker so stragglers rebalance.
+        sizes = []
+        submit = ParallelExecutor.submit
+
+        def counting_submit(self, batch, indices, attempt):
+            sizes.append(len(indices))
+            return submit(self, batch, indices, attempt)
+
+        monkeypatch.setattr(ParallelExecutor, "submit", counting_submit)
+        batch = TrialBatch(spec=spec, trials=24, base_seed=4)
+        with ParallelExecutor(2) as executor:
+            outcomes = executor.run_outcomes(batch)
+        assert len(sizes) == chunks and sum(sizes) == batch.trials
+        assert outcomes == SerialExecutor().run_outcomes(batch)
 
     def test_make_executor_dispatch(self):
         assert isinstance(make_executor(1), SerialExecutor)
@@ -259,7 +284,7 @@ class TestFreshObjectsPerTrial:
 
 class TestResultCache:
     def test_round_trip_hits_and_equality(self, tmp_path):
-        batch = TrialBatch(spec=fast_spec(), trials=4, base_seed=2)
+        batch = TrialBatch(spec=tally_spec(), trials=4, base_seed=2)
         executor = SerialExecutor(cache=ResultCache(tmp_path))
         first = executor.run_outcomes(batch)
         second = executor.run_outcomes(batch)
@@ -271,9 +296,9 @@ class TestResultCache:
     def test_cache_is_spec_addressed(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = SerialExecutor(cache=cache)
-        executor.run_outcomes(TrialBatch(spec=fast_spec(), trials=3))
+        executor.run_outcomes(TrialBatch(spec=tally_spec(), trials=3))
         executor.run_outcomes(
-            TrialBatch(spec=fast_spec(adversary="benign"), trials=3)
+            TrialBatch(spec=tally_spec(adversary="benign"), trials=3)
         )
         assert executor.cache_hits == 0
         assert executor.cache_misses == 2
@@ -281,15 +306,15 @@ class TestResultCache:
     def test_changed_base_seed_misses(self, tmp_path):
         executor = SerialExecutor(cache=ResultCache(tmp_path))
         executor.run_outcomes(
-            TrialBatch(spec=fast_spec(), trials=3, base_seed=1)
+            TrialBatch(spec=tally_spec(), trials=3, base_seed=1)
         )
         executor.run_outcomes(
-            TrialBatch(spec=fast_spec(), trials=3, base_seed=2)
+            TrialBatch(spec=tally_spec(), trials=3, base_seed=2)
         )
         assert executor.cache_hits == 0
 
     def test_corrupt_document_is_a_miss(self, tmp_path):
-        batch = TrialBatch(spec=fast_spec(), trials=3)
+        batch = TrialBatch(spec=tally_spec(), trials=3)
         cache = ResultCache(tmp_path)
         executor = SerialExecutor(cache=cache)
         executor.run_outcomes(batch)
@@ -300,7 +325,7 @@ class TestResultCache:
         assert executor.cache_misses == 2
 
     def test_salt_change_invalidates(self, tmp_path, monkeypatch):
-        batch = TrialBatch(spec=fast_spec(), trials=3)
+        batch = TrialBatch(spec=tally_spec(), trials=3)
         cache = ResultCache(tmp_path)
         SerialExecutor(cache=cache).run_outcomes(batch)
         assert cache.load(batch) is not None
@@ -312,8 +337,8 @@ class TestResultCache:
     def test_plan_resume_skips_completed_cells(self, tmp_path):
         plan = ExecutionPlan(
             batches=(
-                TrialBatch(spec=fast_spec(), trials=3),
-                TrialBatch(spec=fast_spec(adversary="benign"), trials=3),
+                TrialBatch(spec=tally_spec(), trials=3),
+                TrialBatch(spec=tally_spec(adversary="benign"), trials=3),
             )
         )
         first = SerialExecutor(cache=ResultCache(tmp_path))
@@ -339,9 +364,9 @@ class TestTrialOutcome:
 class TestTrialStatsEngineKind:
     def test_fast_stats_refuse_verdict_queries(self):
         stats = SerialExecutor().run_batch(
-            TrialBatch(spec=fast_spec(), trials=2)
+            TrialBatch(spec=tally_spec(engine=ENGINE_BATCH2D), trials=2)
         )
-        assert stats.engine_kind == ENGINE_FAST
+        assert stats.engine_kind == ENGINE_BATCH2D
         assert not stats.checked
         with pytest.raises(ConfigurationError):
             stats.all_ok()
@@ -395,7 +420,7 @@ class TestBatchSpecExecution:
 
     def test_rejects_non_batch_spec(self):
         with pytest.raises(ConfigurationError):
-            run_spec_batch(fast_spec(), [0], 7)
+            run_spec_batch(reference_spec(), [0], 7)
 
     def test_cache_round_trip(self, tmp_path):
         batch = TrialBatch(spec=batch_spec(), trials=4, base_seed=2)

@@ -1,46 +1,48 @@
-"""Edge-path tests for the vectorized engine and its adversaries."""
+"""Edge-path tests for the counts-level BatchFastEngine and its
+adversaries, one trial per run (M = 1)."""
 
-import math
-
+import numpy as np
 import pytest
 
 from repro._math import deterministic_stage_threshold
 from repro.adversary.oblivious import calibrated_drip_schedule
 from repro.errors import ConfigurationError, TerminationViolation
 from repro.protocols import SynRanProtocol
-from repro.sim.fast import (
-    FastBenign,
-    FastEngine,
-    FastOblivious,
-    FastRandomCrash,
-    FastTallyAttack,
+from repro.sim.batch import (
+    BatchBenign,
+    BatchFastEngine,
+    BatchOblivious,
+    BatchRandomCrash,
+    BatchTallyAttack,
 )
+
+
+def run_one(adversary, n, inputs, seed=0, **kwargs):
+    """One trial of the counts engine, as a ``FastResult``."""
+    engine = BatchFastEngine(SynRanProtocol(), adversary, n, **kwargs)
+    return engine.run(inputs, [seed]).trial(0)
+
+
+def _split(k, view):
+    """``k`` kills, 1-senders first, as a one-trial count pair."""
+    k1 = np.minimum(k, view.ones)
+    return (k1, np.minimum(k - k1, view.zeros))
 
 
 class TestStrictTermination:
     def test_strict_raises_on_horizon(self):
         # Mixed inputs with max_rounds=1 cannot decide in time.
-        engine = FastEngine(
-            SynRanProtocol(),
-            FastBenign(),
-            16,
-            seed=0,
-            max_rounds=1,
-            strict_termination=True,
-        )
         with pytest.raises(TerminationViolation):
-            engine.run([1] * 9 + [0] * 7)
+            run_one(
+                BatchBenign(), 16, [1] * 9 + [0] * 7,
+                max_rounds=1, strict_termination=True,
+            )
 
     def test_lenient_flags_instead(self):
-        engine = FastEngine(
-            SynRanProtocol(),
-            FastBenign(),
-            16,
-            seed=0,
-            max_rounds=1,
-            strict_termination=False,
+        result = run_one(
+            BatchBenign(), 16, [1] * 9 + [0] * 7,
+            max_rounds=1, strict_termination=False,
         )
-        result = engine.run([1] * 9 + [0] * 7)
         assert not result.terminated
         assert result.decision_round is None
         assert result.rounds == 1
@@ -52,49 +54,43 @@ class TestDeterministicStagePath:
         threshold = deterministic_stage_threshold(n)
         kill = n - max(1, int(threshold) - 1)
 
-        class Burst(FastBenign):
+        class Burst(BatchBenign):
             def __init__(self):
                 super().__init__(t=kill)
 
             def choose(self, view):
-                if view.round_index == 1:
-                    k1 = min(kill, view.ones)
-                    return (k1, min(kill - k1, view.zeros))
-                return (0, 0)
+                return _split(kill if view.round_index == 1 else 0, view)
 
-        result = FastEngine(
-            SynRanProtocol(), Burst(), n, seed=3
-        ).run([1] * n)
+        result = run_one(Burst(), n, [1] * n, seed=3)
         assert result.terminated
         assert result.decision == 1
 
     def test_kill_during_det_stage(self):
         """Crashes continuing into the flood must not break agreement
-        or termination in the fast engine."""
+        or termination in the counts engine."""
         n = 64
         threshold = int(deterministic_stage_threshold(n))
 
-        class BurstThenDrip(FastBenign):
+        class BurstThenDrip(BatchBenign):
             def __init__(self):
                 super().__init__(t=n - 1)
                 self.spent = 0
 
             def choose(self, view):
+                senders = int(view.senders[0])
                 if view.round_index == 1:
                     k = n - threshold + 1
-                elif view.senders > 2:
+                elif senders > 2:
                     k = 1
                 else:
                     k = 0
-                k = min(k, self.t - self.spent, max(0, view.senders - 1))
+                k = min(k, self.t - self.spent, max(0, senders - 1))
                 self.spent += k
-                k1 = min(k, view.ones)
-                return (k1, min(k - k1, view.zeros))
+                return _split(k, view)
 
-        result = FastEngine(
-            SynRanProtocol(), BurstThenDrip(), n, seed=4,
-            strict_termination=False,
-        ).run([1] * n)
+        result = run_one(
+            BurstThenDrip(), n, [1] * n, seed=4, strict_termination=False
+        )
         assert result.terminated
         assert result.decision == 1
 
@@ -102,37 +98,33 @@ class TestDeterministicStagePath:
 class TestFastOblivious:
     def test_from_schedule_matches_budget(self):
         n = 128
-        adv = FastOblivious.from_schedule(n, calibrated_drip_schedule)
-        result = FastEngine(
-            SynRanProtocol(), adv, n, seed=1, strict_termination=False
-        ).run([1] * 71 + [0] * 57)
+        adv = BatchOblivious.from_schedule(n, calibrated_drip_schedule)
+        result = run_one(
+            adv, n, [1] * 71 + [0] * 57, seed=1, strict_termination=False
+        )
         assert result.terminated
         assert result.crashes_used <= n
 
     def test_calibrated_stalls_like_reference(self):
-        """The fast-engine calibrated oblivious run matches the
-        reference-engine stall magnitude (same deterministic count
-        recursion)."""
+        """The calibrated oblivious run matches the reference-engine
+        stall magnitude (same deterministic count recursion)."""
         n = 128
-        adv = FastOblivious.from_schedule(n, calibrated_drip_schedule)
-        result = FastEngine(
-            SynRanProtocol(), adv, n, seed=1, strict_termination=False
-        ).run([1] * 71 + [0] * 57)
+        adv = BatchOblivious.from_schedule(n, calibrated_drip_schedule)
+        result = run_one(
+            adv, n, [1] * 71 + [0] * 57, seed=1, strict_termination=False
+        )
         assert result.decision_round > 15
 
     def test_overbudget_plan_rejected(self):
-        adv = FastOblivious(1, lambda n, t, rng: {0: 5})
-        engine = FastEngine(SynRanProtocol(), adv, 8, seed=0)
+        adv = BatchOblivious(1, lambda n, t, rng: {0: 5})
         with pytest.raises(ConfigurationError):
-            engine.run([1] * 8)
+            run_one(adv, 8, [1] * 8)
 
     def test_plan_clamped_to_senders(self):
         # A plan killing more than the survivors simply clamps; the
         # run still terminates.
-        adv = FastOblivious(7, lambda n, t, rng: {0: 7})
-        result = FastEngine(
-            SynRanProtocol(), adv, 8, seed=0, strict_termination=False
-        ).run([1] * 8)
+        adv = BatchOblivious(7, lambda n, t, rng: {0: 7})
+        result = run_one(adv, 8, [1] * 8, strict_termination=False)
         assert result.terminated
         assert result.survivors >= 1
 
@@ -140,13 +132,10 @@ class TestFastOblivious:
 class TestSendersPerRound:
     def test_tracked_and_monotone(self):
         n = 64
-        result = FastEngine(
-            SynRanProtocol(),
-            FastTallyAttack(n),
-            n,
-            seed=5,
+        result = run_one(
+            BatchTallyAttack(n), n, [1] * 36 + [0] * 28, seed=5,
             strict_termination=False,
-        ).run([1] * 36 + [0] * 28)
+        )
         senders = result.senders_per_round
         assert len(senders) == result.rounds
         assert senders[0] == n
@@ -161,9 +150,9 @@ class TestSendersPerRound:
 class TestFastRandomCrashTrimLoop:
     def test_trims_to_budget_when_rate_is_high(self):
         n = 64
-        adv = FastRandomCrash(5, rate=1.0)
-        result = FastEngine(
-            SynRanProtocol(), adv, n, seed=2, strict_termination=False
-        ).run([1] * n)
+        result = run_one(
+            BatchRandomCrash(5, rate=1.0), n, [1] * n, seed=2,
+            strict_termination=False,
+        )
         assert result.crashes_used <= 5
         assert result.terminated

@@ -1,9 +1,10 @@
-"""Tests for the vectorized engine and its equivalence to the
-reference engine under the silent-crash restriction."""
+"""Per-trial tests for the counts-level BatchFastEngine (one trial per
+run, M = 1) and its equivalence to the reference engine under the
+silent-crash restriction."""
 
 import math
-import random
 
+import numpy as np
 import pytest
 
 from repro.adversary import BenignAdversary, TallyAttackAdversary
@@ -13,133 +14,127 @@ from repro.protocols import (
     SymmetricRanProtocol,
     SynRanProtocol,
 )
-from repro.sim.engine import Engine
-from repro.sim.fast import (
-    FastBenign,
-    FastEngine,
-    FastRandomCrash,
-    FastTallyAttack,
-    FastView,
+from repro.sim.batch import (
+    STAGE_PROBABILISTIC,
+    BatchBenign,
+    BatchFastEngine,
+    BatchFastView,
+    BatchRandomCrash,
+    BatchTallyAttack,
 )
+from repro.sim.engine import Engine
+
+
+def run_one(adversary, n, inputs, seed=0, **kwargs):
+    """One trial of the counts engine, as a ``FastResult``."""
+    engine = BatchFastEngine(SynRanProtocol(), adversary, n, **kwargs)
+    return engine.run(inputs, [seed]).trial(0)
 
 
 class TestConstruction:
     def test_rejects_non_synran_protocol(self):
         with pytest.raises(ConfigurationError):
-            FastEngine(
-                FloodSetProtocol.for_resilience(1), FastBenign(), 4
+            BatchFastEngine(
+                FloodSetProtocol.for_resilience(1), BatchBenign(), 4
             )
 
     def test_accepts_symmetric_subclass(self):
-        FastEngine(SymmetricRanProtocol(), FastBenign(), 4)
+        BatchFastEngine(SymmetricRanProtocol(), BatchBenign(), 4)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ConfigurationError):
-            FastEngine(SynRanProtocol(), FastBenign(), 0)
+            BatchFastEngine(SynRanProtocol(), BatchBenign(), 0)
 
     def test_rejects_overbudget_adversary(self):
         with pytest.raises(ConfigurationError):
-            FastEngine(SynRanProtocol(), FastBenign(t=9), 4)
+            BatchFastEngine(SynRanProtocol(), BatchBenign(t=9), 4)
 
     def test_rejects_non_bit_inputs(self):
-        engine = FastEngine(SynRanProtocol(), FastBenign(), 3)
+        engine = BatchFastEngine(SynRanProtocol(), BatchBenign(), 3)
         with pytest.raises(ConfigurationError):
-            engine.run([0, 1, 2])
+            engine.run([0, 1, 2], [0])
 
     def test_rejects_wrong_length(self):
-        engine = FastEngine(SynRanProtocol(), FastBenign(), 3)
+        engine = BatchFastEngine(SynRanProtocol(), BatchBenign(), 3)
         with pytest.raises(ConfigurationError):
-            engine.run([0, 1])
+            engine.run([0, 1], [0])
 
 
 class TestBasicRuns:
     def test_unanimous_decides_that_value(self):
         for bit in (0, 1):
-            result = FastEngine(
-                SynRanProtocol(), FastBenign(), 16, seed=1
-            ).run([bit] * 16)
+            result = run_one(BatchBenign(), 16, [bit] * 16, seed=1)
             assert result.decision == bit
             assert result.terminated
 
     def test_deterministic_replay(self):
         inputs = [i % 2 for i in range(32)]
-        a = FastEngine(SynRanProtocol(), FastBenign(), 32, seed=9).run(
-            inputs
-        )
-        b = FastEngine(SynRanProtocol(), FastBenign(), 32, seed=9).run(
-            inputs
-        )
+        a = run_one(BatchBenign(), 32, inputs, seed=9)
+        b = run_one(BatchBenign(), 32, inputs, seed=9)
         assert a.decision_round == b.decision_round
         assert a.decision == b.decision
 
     def test_crash_accounting(self):
         n = 64
-        adv = FastTallyAttack(n)
-        result = FastEngine(
-            SynRanProtocol(), adv, n, seed=2, strict_termination=False
-        ).run([1] * 36 + [0] * 28)
+        result = run_one(
+            BatchTallyAttack(n), n, [1] * 36 + [0] * 28, seed=2,
+            strict_termination=False,
+        )
         assert result.crashes_used == sum(result.crashes_per_round)
         assert result.crashes_used <= n
         assert result.survivors == n - result.crashes_used
 
     def test_bad_adversary_counts_rejected(self):
-        class Liar(FastBenign):
+        class Liar(BatchBenign):
             def choose(self, view):
-                return (view.ones + 1, 0)
+                return (view.ones + 1, np.zeros_like(view.zeros))
 
-        engine = FastEngine(SynRanProtocol(), Liar(t=0), 4, seed=0)
         with pytest.raises(ConfigurationError):
-            engine.run([1, 1, 0, 0])
+            run_one(Liar(t=0), 4, [1, 1, 0, 0])
 
     def test_budget_overdraft_rejected(self):
-        class Overspender(FastBenign):
+        class Overspender(BatchBenign):
             def __init__(self):
                 super().__init__(t=1)
 
             def choose(self, view):
-                return (min(2, view.ones), 0)
+                return (np.minimum(2, view.ones), np.zeros_like(view.zeros))
 
-        engine = FastEngine(
-            SynRanProtocol(), Overspender(), 8, seed=0
-        )
         with pytest.raises(BudgetExceededError):
-            engine.run([1] * 8)
+            run_one(Overspender(), 8, [1] * 8)
+
+
+def _view(round_index, n, ones, zeros, history):
+    """A one-trial probabilistic-stage view."""
+    trial = lambda value: np.array([value], dtype=np.int64)
+    return BatchFastView(
+        round_index=round_index,
+        n=n,
+        stage=np.array([STAGE_PROBABILISTIC], dtype=np.int8),
+        senders=trial(ones + zeros),
+        ones=trial(ones),
+        zeros=trial(zeros),
+        tentative=trial(0),
+        budget_remaining=trial(2),
+        received_history=tuple(trial(h) for h in history),
+        active=np.array([True]),
+    )
 
 
 class TestFastView:
     def test_received_count_convention(self):
-        view = FastView(
-            round_index=2,
-            n=10,
-            stage="probabilistic",
-            senders=8,
-            ones=5,
-            zeros=3,
-            tentative=0,
-            budget_remaining=4,
-            received_history=(10, 9),
-        )
-        assert view.received_count(-1) == 10
-        assert view.received_count(0) == 10
-        assert view.received_count(1) == 9
+        view = _view(round_index=2, n=10, ones=5, zeros=3, history=(10, 9))
+        assert view.received_count(-1).tolist() == [10]
+        assert view.received_count(0).tolist() == [10]
+        assert view.received_count(1).tolist() == [9]
 
     def test_every_negative_index_is_n(self):
         # The paper's N^{-1} = N^0 = n convention extends to any
         # before-the-start index (the bleed rule reads N^{r-3} in
         # rounds 0-2).
-        view = FastView(
-            round_index=0,
-            n=7,
-            stage="probabilistic",
-            senders=7,
-            ones=4,
-            zeros=3,
-            tentative=0,
-            budget_remaining=2,
-            received_history=(),
-        )
+        view = _view(round_index=0, n=7, ones=4, zeros=3, history=())
         for j in (-1, -2, -3):
-            assert view.received_count(j) == 7
+            assert view.received_count(j).tolist() == [7]
 
 
 class TestEngineEquivalence:
@@ -157,15 +152,14 @@ class TestEngineEquivalence:
             ones += 1 if result.common_decision() == 1 else 0
         return sum(rounds) / len(rounds), ones / len(seeds)
 
-    def _fast_mean(self, n, inputs, seeds):
-        rounds, ones = [], 0
-        for seed in seeds:
-            result = FastEngine(
-                SynRanProtocol(), FastBenign(), n, seed=seed
-            ).run(inputs)
-            rounds.append(result.decision_round)
-            ones += 1 if result.decision == 1 else 0
-        return sum(rounds) / len(rounds), ones / len(seeds)
+    def _batch_mean(self, n, inputs, seeds):
+        result = BatchFastEngine(SynRanProtocol(), BatchBenign(), n).run(
+            inputs, list(seeds)
+        )
+        return (
+            float(result.decision_round.mean()),
+            float((result.decision == 1).mean()),
+        )
 
     def test_benign_distribution_matches(self):
         n = 21
@@ -173,7 +167,7 @@ class TestEngineEquivalence:
         ref_rounds, ref_ones = self._reference_mean(
             n, inputs, range(60)
         )
-        fast_rounds, fast_ones = self._fast_mean(n, inputs, range(60))
+        fast_rounds, fast_ones = self._batch_mean(n, inputs, range(60))
         assert fast_rounds == pytest.approx(ref_rounds, abs=1.0)
         assert fast_ones == pytest.approx(ref_ones, abs=0.25)
 
@@ -190,57 +184,44 @@ class TestEngineEquivalence:
                 strict_termination=False,
             ).run(inputs)
             ref.append(result.decision_round)
-        fast = []
-        for seed in range(6):
-            result = FastEngine(
-                SynRanProtocol(),
-                FastTallyAttack(n),
-                n,
-                seed=seed,
-                strict_termination=False,
-            ).run(inputs)
-            fast.append(result.decision_round)
+        fast = BatchFastEngine(
+            SynRanProtocol(), BatchTallyAttack(n), n,
+            strict_termination=False,
+        ).run(inputs, list(range(6))).decision_round
         ref_mean = sum(ref) / len(ref)
-        fast_mean = sum(fast) / len(fast)
+        fast_mean = float(fast.mean())
         assert fast_mean == pytest.approx(ref_mean, rel=0.35)
 
 
 class TestFastAdversaries:
     def test_fast_random_respects_budget(self):
         n = 64
-        adv = FastRandomCrash(10, rate=0.5)
-        result = FastEngine(
-            SynRanProtocol(), adv, n, seed=3, strict_termination=False
-        ).run([i % 2 for i in range(n)])
+        result = run_one(
+            BatchRandomCrash(10, rate=0.5), n, [i % 2 for i in range(n)],
+            seed=3, strict_termination=False,
+        )
         assert result.crashes_used <= 10
 
     def test_fast_tally_stalls(self):
         n = 128
         inputs = [1] * 71 + [0] * 57
-        benign = FastEngine(
-            SynRanProtocol(), FastBenign(), n, seed=4
-        ).run(inputs)
-        attacked = FastEngine(
-            SynRanProtocol(),
-            FastTallyAttack(n),
-            n,
-            seed=4,
+        benign = run_one(BatchBenign(), n, inputs, seed=4)
+        attacked = run_one(
+            BatchTallyAttack(n), n, inputs, seed=4,
             strict_termination=False,
-        ).run(inputs)
+        )
         assert attacked.decision_round > 5 * benign.decision_round
 
     def test_fast_tally_validation(self):
         with pytest.raises(ConfigurationError):
-            FastTallyAttack(4, propose_lo=0.9, propose_hi=0.5)
+            BatchTallyAttack(4, propose_lo=0.9, propose_hi=0.5)
 
     def test_scale_run_completes(self):
         n = 4096
-        result = FastEngine(
-            SynRanProtocol(),
-            FastTallyAttack(n),
-            n,
-            seed=5,
+        ones = math.ceil(0.55 * n)
+        result = run_one(
+            BatchTallyAttack(n), n, [1] * ones + [0] * (n - ones), seed=5,
             strict_termination=False,
-        ).run([1] * math.ceil(0.55 * n) + [0] * (n - math.ceil(0.55 * n)))
+        )
         assert result.terminated
         assert result.decision in (0, 1)

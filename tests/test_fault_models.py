@@ -11,9 +11,14 @@ pre-refactor engines is pinned separately in
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SanitizerViolationError
+from repro.errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    SanitizerViolationError,
+)
 from repro.faultmodels import (
     CrashFaultModel,
     LateFaultModel,
@@ -24,13 +29,13 @@ from repro.faultmodels import (
     register_fault_model,
     resolve_fault_model,
 )
+from repro.faultmodels.omission import BatchSuppressionLedger
 from repro.harness.exec.spec import TrialSpec
 from repro.harness.exec.trial import run_spec_trial
 from repro.lint import SimSanitizer
 from repro.protocols import make_protocol
-from repro.sim.batch import BatchFastEngine
+from repro.sim.batch import BatchFastEngine, BatchTallyAttack
 from repro.sim.engine import Engine
-from repro.sim.fast import FastEngine, FastTallyAttack
 from repro.sim.model import (
     FailureDecision,
     ProcessCore,
@@ -372,13 +377,15 @@ class TestSanitizerFaultContracts:
             san.observe_round(2, range(8), (), {}, faulty=(3,))
 
     def test_fast_round_omission_high_water_mark(self):
-        san = SimSanitizer(8, 3, fault_model="send-omission")
-        san.observe_fast_round(0, 8, 0, omissions=3)
-        san.observe_fast_round(1, 8, 0, omissions=2)
-        report = san.report()
-        assert report["ok"] and report["faulty_total"] == 3
-        with pytest.raises(SanitizerViolationError, match="total-budget"):
-            san.observe_fast_round(2, 8, 0, omissions=4)
+        # Counts engines cannot name pids: a round suppressing k senders
+        # proves k distinct faulty processes, so the budget is charged
+        # as the per-round high-water mark.
+        ledger = BatchSuppressionLedger(3, trials=2)
+        ledger.charge(np.array([3, 1]))
+        ledger.charge(np.array([2, 2]))
+        assert ledger.used.tolist() == [3, 2]
+        with pytest.raises(BudgetExceededError, match="trial 1"):
+            ledger.charge(np.array([0, 4]))
 
     def test_report_carries_model_and_lag(self):
         san = SimSanitizer(8, 2, fault_model="late", lag=2)
@@ -449,15 +456,13 @@ class TestEngineThreading:
 
     @pytest.mark.parametrize("name", ["send-omission", "late"])
     def test_fast_engine_supports_counts_models(self, name):
-        engine = FastEngine(
+        engine = BatchFastEngine(
             make_protocol("synran", _N, _T),
-            FastTallyAttack(_T),
+            BatchTallyAttack(_T),
             _N,
-            seed=11,
-            sanitizer=True,
             fault_model=name,
         )
-        result = engine.run(worst_case_split(_N))
+        result = engine.run(worst_case_split(_N), [11]).trial(0)
         assert result.rounds >= 1
         if name == "send-omission":
             # Population is preserved: the per-round fault series
@@ -469,22 +474,14 @@ class TestEngineThreading:
     def test_counts_engines_reject_reference_only_models(self):
         protocol = make_protocol("synran", _N, _T)
         with pytest.raises(ConfigurationError, match="counts"):
-            FastEngine(
-                protocol,
-                FastTallyAttack(_T),
-                _N,
-                seed=11,
-                fault_model="receive-omission",
-            )
-        with pytest.raises(ConfigurationError, match="counts"):
             BatchFastEngine(
                 protocol,
-                FastTallyAttack(_T),
+                BatchTallyAttack(_T),
                 _N,
                 fault_model="receive-omission",
             )
 
-    @pytest.mark.parametrize("engine", ["fast", "batch"])
+    @pytest.mark.parametrize("engine", ["batch"])
     def test_harness_rejects_reference_only_models_per_spec(self, engine):
         spec = TrialSpec(
             protocol="synran",
@@ -497,7 +494,7 @@ class TestEngineThreading:
         with pytest.raises(ConfigurationError, match="counts"):
             run_spec_trial(spec, 0, 0)
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "batch"])
+    @pytest.mark.parametrize("engine", ["reference", "batch", "batch2d"])
     def test_harness_runs_late_model_on_every_engine(self, engine):
         spec = TrialSpec(
             protocol="synran",

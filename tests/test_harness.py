@@ -15,8 +15,8 @@ from repro.harness.workloads import (
     worst_case_split,
 )
 from repro.protocols import SynRanProtocol
-from repro.sim.batch import BatchBenign
-from repro.sim.fast import FastBenign
+from repro.sim.batch import BatchBenign, BatchTallyAttack
+from repro.sim.batch2d import Batch2DCounts
 
 
 class TestWorkloads:
@@ -173,7 +173,7 @@ class TestFastRunner:
     def test_deterministic(self):
         a = run_fast_trials(
             SynRanProtocol,
-            FastBenign,
+            BatchBenign,
             32,
             lambda rng: [i % 2 for i in range(32)],
             trials=4,
@@ -181,7 +181,7 @@ class TestFastRunner:
         )
         b = run_fast_trials(
             SynRanProtocol,
-            FastBenign,
+            BatchBenign,
             32,
             lambda rng: [i % 2 for i in range(32)],
             trials=4,
@@ -192,7 +192,7 @@ class TestFastRunner:
     def test_no_verdicts_for_fast(self):
         stats = run_fast_trials(
             SynRanProtocol,
-            FastBenign,
+            BatchBenign,
             16,
             lambda rng: [1] * 16,
             trials=2,
@@ -205,23 +205,36 @@ class TestFastRunner:
 class TestBatchRunner:
     def test_batch_mode_matches_fast_on_coin_free_runs(self):
         # Unanimous inputs under benign crashes never reach a coin, so
-        # batch=True must reproduce the scalar fast path exactly (the
-        # two modes share per-trial seed derivation).
+        # the vectorized runner must reproduce the reference runner
+        # exactly (both derive per-trial seeds from FACTORY_SCOPE).
         kwargs = dict(trials=5, base_seed=11)
-        fast = run_fast_trials(
-            SynRanProtocol, FastBenign, 16, lambda rng: [1] * 16, **kwargs
-        )
-        batch = run_fast_trials(
-            SynRanProtocol,
-            BatchBenign,
-            16,
-            lambda rng: [1] * 16,
-            batch=True,
+        reference = run_reference_trials(
+            SynRanProtocol, BenignAdversary, 16, lambda rng: [1] * 16,
             **kwargs,
         )
+        batch = run_fast_trials(
+            SynRanProtocol, BatchBenign, 16, lambda rng: [1] * 16, **kwargs
+        )
         assert batch.engine_kind == "batch"
-        assert batch.decision_rounds == fast.decision_rounds
-        assert batch.decisions == fast.decisions
+        assert batch.decision_rounds == reference.decision_rounds
+        assert batch.decisions == reference.decisions
+
+    def test_adversary_type_selects_the_engine(self):
+        # A two-axis adversary runs on Batch2DEngine; a lifted counts
+        # adversary reproduces the 1-D engine bit for bit.
+        kwargs = dict(trials=6, base_seed=3)
+        inputs = lambda rng: [rng.randrange(2) for _ in range(32)]
+        one_d = run_fast_trials(
+            SynRanProtocol, lambda: BatchTallyAttack(32), 32, inputs,
+            **kwargs,
+        )
+        two_d = run_fast_trials(
+            SynRanProtocol, lambda: Batch2DCounts(BatchTallyAttack(32)), 32,
+            inputs, **kwargs,
+        )
+        assert two_d.engine_kind == "batch2d"
+        assert two_d.decision_rounds == one_d.decision_rounds
+        assert two_d.crashes == one_d.crashes
 
     def test_batch_mode_is_deterministic(self):
         runs = [
@@ -232,21 +245,20 @@ class TestBatchRunner:
                 lambda rng: [rng.randrange(2) for _ in range(32)],
                 trials=6,
                 base_seed=3,
-                batch=True,
             )
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
     def test_batch_mode_rejects_scalar_adversary(self):
+        # A message-level adversary has no counts-level engine.
         with pytest.raises(ConfigurationError):
             run_fast_trials(
                 SynRanProtocol,
-                FastBenign,
+                BenignAdversary,
                 16,
                 lambda rng: [1] * 16,
                 trials=2,
-                batch=True,
             )
 
     def test_batch_stats_refuse_verdict_queries(self):
@@ -256,7 +268,6 @@ class TestBatchRunner:
             16,
             lambda rng: [1] * 16,
             trials=2,
-            batch=True,
         )
         assert not stats.checked
         with pytest.raises(ConfigurationError):

@@ -27,7 +27,7 @@ from repro.protocols.synran import Stage
 from repro.sim.checks import verify_execution
 from repro.sim.comm import communication_stats
 from repro.sim.engine import Engine
-from repro.sim.fast import FastEngine, FastTallyAttack
+from repro.sim.batch import BatchFastEngine, BatchTallyAttack
 
 
 class TestPaperAdversaryDiscipline:
@@ -125,10 +125,10 @@ class TestCrossEngineAgreement:
             )
             return stats.rounds_summary().mean
 
-        def fast_mean(fraction):
+        def batch_mean(fraction):
             stats = run_fast_trials(
                 lambda: SynRanProtocol(stop_fraction=fraction),
-                lambda: FastTallyAttack(n, stop_fraction=fraction),
+                lambda: BatchTallyAttack(n, stop_fraction=fraction),
                 n,
                 lambda rng: inputs,
                 trials=4,
@@ -136,7 +136,7 @@ class TestCrossEngineAgreement:
             )
             return stats.rounds_summary().mean
 
-        for engine_mean in (reference_mean, fast_mean):
+        for engine_mean in (reference_mean, batch_mean):
             strict = engine_mean(0.05)
             lax = engine_mean(0.2)
             assert strict > lax, (
@@ -247,13 +247,12 @@ class TestSeedReproducibility:
     def test_fast_engine_full_replay(self):
         n = 256
         def run():
-            return FastEngine(
+            return BatchFastEngine(
                 SynRanProtocol(),
-                FastTallyAttack(n),
+                BatchTallyAttack(n),
                 n,
-                seed=123,
                 strict_termination=False,
-            ).run(worst_case_split(n))
+            ).run(worst_case_split(n), [123]).trial(0)
 
         a, b = run(), run()
         assert a.decision == b.decision

@@ -14,7 +14,7 @@ from repro.analysis.markov import (
 from repro.errors import ConfigurationError
 from repro.harness.runner import run_fast_trials, run_reference_trials
 from repro.protocols import SynRanProtocol
-from repro.sim.fast import FastBenign
+from repro.sim.batch import BatchBenign
 
 
 class TestBands:
@@ -103,7 +103,7 @@ class TestCrossValidation:
         analytic, inputs = self._analytic(n, ones)
         stats = run_fast_trials(
             SynRanProtocol,
-            FastBenign,
+            BatchBenign,
             n,
             lambda rng: inputs,
             trials=300,

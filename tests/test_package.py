@@ -28,7 +28,6 @@ ALL_MODULES = [
     "repro.sim.checks",
     "repro.sim.comm",
     "repro.sim.engine",
-    "repro.sim.fast",
     "repro.sim.inbox",
     "repro.sim.model",
     "repro.sim.registry",

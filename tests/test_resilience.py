@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
     ENGINE_BATCH,
-    ENGINE_FAST,
+    ENGINE_REFERENCE,
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
@@ -36,22 +36,22 @@ from repro.harness.runner import TrialStats
 from repro.harness.sweep import _cell_result
 
 
-def fast_spec(**overrides):
+def tally_spec(**overrides):
     fields = dict(
         protocol="synran",
         adversary="tally-attack",
         n=16,
         t=16,
         inputs="worst",
-        engine=ENGINE_FAST,
+        engine=ENGINE_REFERENCE,
     )
     fields.update(overrides)
     return TrialSpec(**fields)
 
 
-def fast_batch(trials=12, base_seed=7, **overrides):
+def tally_batch(trials=12, base_seed=7, **overrides):
     return TrialBatch(
-        spec=fast_spec(**overrides),
+        spec=tally_spec(**overrides),
         trials=trials,
         base_seed=base_seed,
         label="resilience-test",
@@ -156,7 +156,7 @@ class TestReportTypes:
 
 class TestPartialLedger:
     def test_store_chunk_and_load_partial_roundtrip(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -169,7 +169,7 @@ class TestPartialLedger:
         )
 
     def test_corrupt_chunk_doc_is_a_miss_not_an_error(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -182,7 +182,7 @@ class TestPartialLedger:
         assert sorted(salvaged) == [3, 4, 5]
 
     def test_truncated_chunk_doc_is_a_miss(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         path = cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -193,8 +193,8 @@ class TestPartialLedger:
         assert salvaged == {}
 
     def test_wrong_batch_chunk_doc_is_a_miss(self, tmp_path):
-        batch = fast_batch()
-        other = fast_batch(base_seed=8)
+        batch = tally_batch()
+        other = tally_batch(base_seed=8)
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -203,7 +203,7 @@ class TestPartialLedger:
         assert salvaged == {}
 
     def test_final_store_compacts_ledger(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -218,7 +218,7 @@ class TestPartialLedger:
         # Only what a corrupt document raises reads as a miss; a bug in
         # the validation code itself must surface, not silently
         # recompute the batch.
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -236,7 +236,7 @@ class TestPartialLedger:
             cache.load(batch)
 
     def test_chunk_doc_span_parsing(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         path = cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -249,7 +249,7 @@ class TestCacheDegradation:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory", encoding="utf-8")
         cache = ResultCache(blocker / "cache")
-        batch = fast_batch()
+        batch = tally_batch()
         outcomes = baseline_outcomes(batch)
         with pytest.warns(RuntimeWarning, match="continuing uncached"):
             assert cache.store(batch, outcomes) is None
@@ -263,7 +263,7 @@ class TestCacheDegradation:
     def test_run_completes_uncached_on_unwritable_root(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
-        batch = fast_batch()
+        batch = tally_batch()
         with pytest.warns(RuntimeWarning):
             with SerialExecutor(cache=ResultCache(blocker / "cache")) as ex:
                 outcomes = ex.run_outcomes(batch)
@@ -278,7 +278,7 @@ class TestCacheDegradation:
         root.chmod(0o500)
         try:
             cache = ResultCache(root)
-            batch = fast_batch()
+            batch = tally_batch()
             with pytest.warns(RuntimeWarning):
                 assert cache.store(batch, baseline_outcomes(batch)) is None
         finally:
@@ -294,7 +294,7 @@ class TestRetryAndQuarantine:
     def test_transient_failure_retried_to_identical_outcomes(
         self, monkeypatch, tmp_path
     ):
-        batch = fast_batch()
+        batch = tally_batch()
         expected = jsonable(baseline_outcomes(batch))
         activate_plan(
             monkeypatch, tmp_path, FaultPlan((Fault("raise", 4, times=1),))
@@ -315,7 +315,7 @@ class TestRetryAndQuarantine:
         activate_plan(
             monkeypatch, tmp_path, FaultPlan((Fault("raise", 4, times=99),))
         )
-        batch = fast_batch()
+        batch = tally_batch()
         with ParallelExecutor(
             2,
             chunk_size=3,
@@ -336,7 +336,7 @@ class TestRetryAndQuarantine:
         activate_plan(
             monkeypatch, tmp_path, FaultPlan((Fault("raise", 4, times=99),))
         )
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         with ParallelExecutor(
             2,
@@ -352,7 +352,7 @@ class TestRetryAndQuarantine:
         assert 4 not in salvaged
 
     def test_resume_uses_ledger_without_recomputing(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         # Plant a distinctive (fabricated) chunk document: if the
@@ -377,7 +377,7 @@ class TestRetryAndQuarantine:
         assert jsonable(resumed[3:]) == jsonable(outcomes[3:])
 
     def test_serial_resume_counts_ledger_chunks(self, tmp_path):
-        batch = fast_batch()
+        batch = tally_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
@@ -390,7 +390,7 @@ class TestRetryAndQuarantine:
         assert jsonable(cache.load(batch)) == jsonable(outcomes)
 
     def test_resilience_summary_aggregates(self):
-        batch = fast_batch(trials=4)
+        batch = tally_batch(trials=4)
         with SerialExecutor() as ex:
             ex.run_outcomes(batch)
             ex.run_outcomes(batch)
@@ -407,18 +407,18 @@ class TestRetryAndQuarantine:
 
 class TestStatsIntegration:
     def test_missing_trials_counted(self):
-        batch = fast_batch(trials=6)
+        batch = tally_batch(trials=6)
         outcomes = baseline_outcomes(batch)[:3]
         stats = TrialStats.from_outcomes(
-            outcomes, engine_kind=ENGINE_FAST, expected_trials=6
+            outcomes, engine_kind=ENGINE_REFERENCE, expected_trials=6
         )
         assert stats.missing_trials == 3
         assert not stats.structural_ok()
 
     def test_no_expectation_means_no_missing(self):
-        batch = fast_batch(trials=6)
+        batch = tally_batch(trials=6)
         outcomes = baseline_outcomes(batch)[:3]
-        stats = TrialStats.from_outcomes(outcomes, engine_kind=ENGINE_FAST)
+        stats = TrialStats.from_outcomes(outcomes, engine_kind=ENGINE_REFERENCE)
         assert stats.missing_trials == 0
 
     def test_empty_cell_yields_nan_row_not_crash(self):
@@ -441,7 +441,7 @@ class TestStatsIntegration:
         assert row.violations == 0
 
     def test_duplicate_chunk_indices_rejected(self):
-        spec = fast_spec(
+        spec = tally_spec(
             engine=ENGINE_BATCH, adversary="random", t=8, inputs="random"
         )
         with pytest.raises(ConfigurationError, match="duplicate"):

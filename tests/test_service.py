@@ -20,6 +20,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.exec import (
+    ENGINE_REFERENCE,
     ExecutionPlan,
     ResultCache,
     SerialExecutor,
@@ -28,7 +29,6 @@ from repro.harness.exec import (
     TrialSpec,
     make_executor,
 )
-from repro.harness.exec.trial import ENGINE_FAST
 from repro.harness.resilience import Fault, FaultPlan, RetryPolicy
 from repro.harness.runner import TrialStats
 from repro.service import (
@@ -44,14 +44,14 @@ from repro.service.netio import ServiceUnreachable, request_json
 from repro.service.remote import WorkerEndpoint
 
 
-def fast_spec(**overrides):
+def tally_spec(**overrides):
     fields = dict(
         protocol="synran",
         adversary="tally-attack",
         n=16,
         t=16,
         inputs="worst",
-        engine=ENGINE_FAST,
+        engine=ENGINE_REFERENCE,
     )
     fields.update(overrides)
     return TrialSpec(**fields)
@@ -61,11 +61,11 @@ def two_batch_plan(trials=10, base_seed=7):
     return ExecutionPlan(
         batches=(
             TrialBatch(
-                spec=fast_spec(), trials=trials, base_seed=base_seed,
+                spec=tally_spec(), trials=trials, base_seed=base_seed,
                 label="cell-16",
             ),
             TrialBatch(
-                spec=fast_spec(n=32, t=32), trials=trials,
+                spec=tally_spec(n=32, t=32), trials=trials,
                 base_seed=base_seed, label="cell-32",
             ),
         )
@@ -137,7 +137,7 @@ class TestRemoteDifferential:
         # One live worker, one endpoint nobody listens on: the dead
         # one is quarantined after consecutive failures and the live
         # one absorbs its chunks; results stay byte-identical.
-        batch = TrialBatch(spec=fast_spec(), trials=8, base_seed=3)
+        batch = TrialBatch(spec=tally_spec(), trials=8, base_seed=3)
         remote = RemoteExecutor(
             [worker_fleet[0], "http://127.0.0.1:9"],
             chunk_size=2,
@@ -153,7 +153,7 @@ class TestRemoteDifferential:
         assert summary[0]["chunks_completed"] == 4
 
     def test_whole_fleet_dead_degrades_to_local(self, tmp_path):
-        batch = TrialBatch(spec=fast_spec(), trials=6, base_seed=3)
+        batch = TrialBatch(spec=tally_spec(), trials=6, base_seed=3)
         remote = RemoteExecutor(
             ["http://127.0.0.1:9"],
             cache=ResultCache(tmp_path / "cache"),
@@ -348,7 +348,7 @@ class TestWorkerEndpointContract:
 
         monkeypatch.setattr(WorkerEndpoint, "_post_chunk", post_chunk)
         endpoint = RemoteExecutor(["http://127.0.0.1:9"]).endpoints[0]
-        batch = TrialBatch(spec=fast_spec(), trials=1, base_seed=0, label="d")
+        batch = TrialBatch(spec=tally_spec(), trials=1, base_seed=0, label="d")
         assert endpoint.submit(batch, [0], 0).result(timeout=10) is True
 
     def test_empty_indices_rejected(self, worker_url):
@@ -360,7 +360,7 @@ class TestWorkerEndpointContract:
             "/chunks",
             {
                 "wire": 1,
-                "spec": spec_to_wire(fast_spec()),
+                "spec": spec_to_wire(tally_spec()),
                 "base_seed": 0,
                 "indices": [],
             },
@@ -375,7 +375,7 @@ class TestCacheLocking:
         # do): the advisory lock keeps the final document and the
         # ledger teardown atomic, so every handle ends up reading the
         # same complete result.
-        batch = TrialBatch(spec=fast_spec(), trials=6, base_seed=2)
+        batch = TrialBatch(spec=tally_spec(), trials=6, base_seed=2)
         outcomes = SerialExecutor().run_outcomes(batch)
         root = tmp_path / "shared-cache"
         errors = []
@@ -402,7 +402,7 @@ class TestCacheLocking:
 
     def test_lock_files_live_beside_documents(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        batch = TrialBatch(spec=fast_spec(), trials=2, base_seed=1)
+        batch = TrialBatch(spec=tally_spec(), trials=2, base_seed=1)
         lock = cache.lock_path(batch)
         assert lock.parent == cache.path_for(batch).parent
         assert lock.suffix == ".lock"

@@ -18,13 +18,13 @@ from pathlib import Path
 import pytest
 
 from repro.harness.exec import (
+    ENGINE_REFERENCE,
     ExecutionPlan,
     ResultCache,
     SerialExecutor,
     TrialBatch,
     TrialSpec,
 )
-from repro.harness.exec.trial import ENGINE_FAST
 from repro.harness.resilience import CHAOS_ENV, Fault, FaultPlan
 from repro.service.client import ServiceClient
 from repro.service.smoke import wait_healthz
@@ -44,7 +44,7 @@ def resume_batch():
             n=16,
             t=16,
             inputs="worst",
-            engine=ENGINE_FAST,
+            engine=ENGINE_REFERENCE,
         ),
         trials=12,
         base_seed=7,

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
+    ENGINE_BATCH,
     WIRE_VERSION,
     ExecutionPlan,
     TrialBatch,
@@ -27,7 +28,6 @@ from repro.harness.exec import (
     spec_params,
     spec_to_wire,
 )
-from repro.harness.exec.trial import ENGINE_FAST
 
 
 def full_spec(**overrides):
@@ -41,7 +41,7 @@ def full_spec(**overrides):
         adversary_params=spec_params(bias=0.25),
         inputs_params=spec_params(p=0.5),
         max_rounds=77,
-        engine=ENGINE_FAST,
+        engine=ENGINE_BATCH,
         strict_termination=False,
         fault_model="late",
         fault_model_params=spec_params(lag=2),
@@ -159,6 +159,13 @@ class TestSpecRejection:
         doc = spec_to_wire(full_spec())
         doc["n"] = -1
         with pytest.raises(ConfigurationError):
+            spec_from_wire(doc)
+
+    def test_unknown_engine_rejected(self):
+        # "fast" names the retired per-trial counts engine.
+        doc = spec_to_wire(full_spec())
+        doc["engine"] = "fast"
+        with pytest.raises(ConfigurationError, match="engine"):
             spec_from_wire(doc)
 
 
