@@ -7,6 +7,11 @@ the comparison works from a dirty tree without stashing).  A named
 cell that regresses by more than ``--tolerance`` (default 30%) on its
 throughput metric fails the run with exit code 1.
 
+Timings only compare on one host.  When the committed artifact's
+``host`` block differs from the fresh one's, the baseline is measured
+here instead: the artifact's bench script runs with the same flags in
+a temporary ``git worktree`` of ``HEAD``, which is removed afterwards.
+
 Comparison rules, per artifact:
 
 * ``BENCH_batch_engine.json`` — cells keyed by ``(adversary, n)``,
@@ -26,21 +31,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from _emit import REPO_ROOT, validate
 
-#: filename -> (key fields, metric, higher_is_better)
-ARTIFACTS: Dict[str, Tuple[Tuple[str, ...], str, bool]] = {
+#: filename -> (bench script, key fields, metric, higher_is_better)
+ARTIFACTS: Dict[str, Tuple[str, Tuple[str, ...], str, bool]] = {
     "BENCH_batch_engine.json": (
+        "bench_batch_engine.py",
         ("adversary", "n"),
         "batch_trials_per_sec",
         True,
     ),
-    "BENCH_exec.json": (("case",), "seconds", False),
+    "BENCH_exec.json": ("bench_exec.py", ("case",), "seconds", False),
 }
 
 
@@ -57,6 +65,56 @@ def _baseline(name: str) -> Optional[dict]:
     return json.loads(proc.stdout)
 
 
+def _measure_at_head(name: str, flags: List[str]) -> dict:
+    """Run ``name``'s bench script with ``flags`` in a temporary
+    worktree of HEAD and return the artifact it wrote there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "head"
+        subprocess.run(
+            ["git", "worktree", "add", "--detach", str(tree), "HEAD"],
+            cwd=REPO_ROOT,
+            check=True,
+            capture_output=True,
+        )
+        try:
+            # The checkout carries the other host's artifact: remove it
+            # so only a fresh measurement can be read back.
+            (tree / name).unlink()
+            script = tree / "benchmarks" / ARTIFACTS[name][0]
+            # No check: a script's own gate may fail after it writes.
+            subprocess.run(
+                [sys.executable, str(script), *flags],
+                cwd=tree,
+                env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+            )
+            return json.loads((tree / name).read_text())
+        finally:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(tree)],
+                cwd=REPO_ROOT,
+                capture_output=True,
+            )
+
+
+def baseline_for(
+    name: str,
+    fresh: dict,
+    *,
+    committed: Callable[[str], Optional[dict]] = _baseline,
+    measure: Callable[[str, List[str]], dict] = _measure_at_head,
+) -> Optional[dict]:
+    """The document to compare ``fresh`` against: the one committed at
+    HEAD when it was measured on this host, else HEAD measured here."""
+    baseline = committed(name)
+    if baseline is None or baseline["host"] == fresh["host"]:
+        return baseline
+    print(
+        f"{name}: HEAD's artifact is from another host; measuring HEAD here",
+        flush=True,
+    )
+    return measure(name, ["--smoke"] if fresh["smoke"] else [])
+
+
 def _cells(doc: dict, key_fields: Iterable[str]) -> Dict[tuple, dict]:
     return {
         tuple(row[k] for k in key_fields): row for row in doc["results"]
@@ -71,7 +129,7 @@ def compare_artifact(
     name: str, tolerance: float, allow_smoke: bool
 ) -> Tuple[int, int]:
     """Compare one artifact; return (cells checked, regressions)."""
-    key_fields, metric, higher_better = ARTIFACTS[name]
+    _script, key_fields, metric, higher_better = ARTIFACTS[name]
     fresh_path = REPO_ROOT / name
     if not fresh_path.exists():
         print(f"{name}: no fresh artifact in working tree; skipping")
@@ -86,7 +144,7 @@ def compare_artifact(
             "compare timing (rerun `make bench` or pass --allow-smoke)"
         )
         return 0, 1
-    baseline = _baseline(name)
+    baseline = baseline_for(name, fresh)
     if baseline is None:
         print(f"{name}: no baseline at HEAD; all cells are new — ok")
         return 0, 0

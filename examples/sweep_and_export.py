@@ -23,7 +23,7 @@ def main() -> int:
     )
     sweep = Sweep(
         protocols=("synran", "floodset"),
-        adversaries=("benign", "random", "tally-attack"),
+        adversaries=("benign", "random-partial", "tally-attack"),
         ns=(16, 32, 64),
         t_of=lambda n: n // 2,
         trials=4,

@@ -67,7 +67,7 @@ from repro.adversary import (
     TallyAttackAdversary,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "Adversary",

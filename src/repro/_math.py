@@ -21,6 +21,7 @@ __all__ = [
     "expected_rounds_bound",
     "lower_bound_rounds",
     "isqrt_ceil",
+    "binomial_sum",
 ]
 
 
@@ -124,3 +125,22 @@ def isqrt_ceil(x: int) -> int:
         raise ValueError(f"x must be >= 0, got {x}")
     r = math.isqrt(x)
     return r if r * r == x else r + 1
+
+
+def binomial_sum(n: int, lo: int, hi: int) -> int:
+    """Exact ``sum(C(n, i) for lo <= i <= hi)``, the range clipped to
+    ``[0, n]`` (``0`` when empty).
+
+    Steps the coefficient, ``C(n, i + 1) = C(n, i) * (n - i) // (i + 1)``
+    (the division is exact), instead of computing each term from
+    scratch: one big-integer multiply per term rather than a fresh
+    ``math.comb``, which is what makes exact binomial tails affordable
+    at ``n`` in the tens of thousands.
+    """
+    lo, hi = max(lo, 0), min(hi, n)
+    total = 0
+    c = math.comb(n, lo) if lo <= hi else 0
+    for i in range(lo, hi + 1):
+        total += c
+        c = c * (n - i) // (i + 1)
+    return total

@@ -1,13 +1,30 @@
-"""Name-based adversary construction for the harness and CLI.
+"""The one adversary name table, for every engine.
 
-Factories take ``(n, t, protocol)`` — some adversaries need the
-protocol under attack (the exact-play adversary simulates it; the
-Ben-Or trimmer reads its decision threshold).
+Each row names one attack and holds one factory per engine that
+implements it, keyed by ``TrialSpec.engine`` values.  A name means the
+same attack on every engine that has it: a counts-level factory fills
+``batch`` and, lifted through :class:`~repro.sim.batch2d.Batch2DCounts`
+(bit-identical trajectories), ``batch2d``; a mask factory fills
+``batch2d`` alone.  An engine with no factory for a name rejects it,
+naming the engines that have one.
+
+Every factory takes ``(n, t, protocol, params)``: ``protocol`` is a
+fresh instance of the protocol under attack (the exact-play adversary
+simulates it; the Ben-Or trimmer reads its decision threshold; the
+vectorized engines pass ``None``), ``params`` a spec's primitive
+adversary parameters.  Factories return a *fresh* adversary, since
+adversaries are stateful across rounds.
+
+The REP002 lint rule requires every concrete ``Adversary``,
+``BatchFastAdversary`` and ``Batch2DAdversary`` in ``adversary/`` or
+``sim/`` to be referenced here, and every name to be documented in
+``docs/registries.md``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.adversary.antibeacon import AntiBeaconAdversary
 from repro.adversary.antisynran import TallyAttackAdversary
@@ -17,76 +34,226 @@ from repro.adversary.benorattack import BenOrQuorumAdversary
 from repro.adversary.lowerbound import ExactValencyAdversary
 from repro.adversary.oblivious import (
     ObliviousAdversary,
+    burst_schedule,
     calibrated_drip_schedule,
+    drip_schedule,
+    uniform_schedule,
 )
 from repro.adversary.random_crash import RandomCrashAdversary
 from repro.adversary.static import StaticAdversary
 from repro.errors import ConfigurationError
+from repro.sim.batch import (
+    BatchBenign,
+    BatchOblivious,
+    BatchRandomCrash,
+    BatchTallyAttack,
+    BatchValencyKeeper,
+)
+from repro.sim.batch2d import Batch2DCounts, Batch2DPartition
 
-__all__ = ["available_adversaries", "make_adversary", "register_adversary"]
+__all__ = [
+    "adversary_factory",
+    "available_adversaries",
+    "make_adversary",
+    "register_adversary",
+]
 
-_FACTORIES: Dict[str, Callable[[int, int, object], Adversary]] = {
-    "benign": lambda n, t, proto: BenignAdversary(t),
-    "random": lambda n, t, proto: RandomCrashAdversary(t, rate=0.1),
-    "burst": lambda n, t, proto: RandomCrashAdversary(
-        t, rate=0.05, burst_probability=0.2
+Params = Dict[str, object]
+AdversaryFactory = Callable[[int, int, object, Params], object]
+
+
+def _engines(
+    *,
+    reference: Optional[AdversaryFactory] = None,
+    counts: Optional[AdversaryFactory] = None,
+    mask: Optional[AdversaryFactory] = None,
+) -> Dict[str, AdversaryFactory]:
+    """One row: the factory of every engine that implements a name."""
+    row: Dict[str, AdversaryFactory] = {}
+    if reference is not None:
+        row["reference"] = reference
+    if counts is not None:
+        row["batch"] = counts
+        row["batch2d"] = lambda n, t, proto, p: Batch2DCounts(
+            counts(n, t, proto, p)
+        )
+    if mask is not None:
+        row["batch2d"] = mask
+    return row
+
+
+_FACTORIES: Dict[str, Dict[str, AdversaryFactory]] = {
+    "benign": _engines(
+        reference=lambda n, t, proto, p: BenignAdversary(t),
+        counts=lambda n, t, proto, p: BatchBenign(),
     ),
-    "tally-attack": lambda n, t, proto: TallyAttackAdversary(t),
-    "tally-split-only": lambda n, t, proto: TallyAttackAdversary(
-        t, enable_bleed=False
+    # Victims crash silently, so the counts engines run the same attack.
+    "random": _engines(
+        reference=lambda n, t, proto, p: RandomCrashAdversary(
+            t, silent_probability=1.0, **{"rate": 0.1, **p}
+        ),
+        counts=lambda n, t, proto, p: BatchRandomCrash(
+            t, **{"rate": 0.1, **p}
+        ),
     ),
-    "tally-bleed-only": lambda n, t, proto: TallyAttackAdversary(
-        t, enable_split=False
+    # Half the victims still reach a random half of the receivers: a
+    # delivery rule that splits views, which counts cannot express.
+    "random-partial": _engines(
+        reference=lambda n, t, proto, p: RandomCrashAdversary(
+            t, **{"rate": 0.1, **p}
+        ),
     ),
-    "anti-beacon": lambda n, t, proto: AntiBeaconAdversary(t),
-    "benor-quorum": lambda n, t, proto: BenOrQuorumAdversary(
-        t,
-        decide_threshold=(getattr(proto, "t", t) + 1),
+    "burst": _engines(
+        reference=lambda n, t, proto, p: RandomCrashAdversary(
+            t, **{"rate": 0.05, "burst_probability": 0.2, **p}
+        ),
     ),
-    "exact-stall": lambda n, t, proto: ExactValencyAdversary(
-        t, proto, n, objective="rounds"
+    "tally-attack": _engines(
+        reference=lambda n, t, proto, p: TallyAttackAdversary(t, **p),
+        counts=lambda n, t, proto, p: BatchTallyAttack(t, **p),
     ),
-    # Empty schedule by default: "static" exists so scripted schedules
-    # (regression replays) are constructible by name; pass a real
-    # schedule programmatically via StaticAdversary(t, schedule=...).
-    "static": lambda n, t, proto: StaticAdversary(t, schedule={}),
-    # The strongest oblivious plan we know: the precomputed bleed drip.
-    "oblivious": lambda n, t, proto: ObliviousAdversary(
-        t, calibrated_drip_schedule
+    "tally-split-only": _engines(
+        reference=lambda n, t, proto, p: TallyAttackAdversary(
+            t, enable_bleed=False, **p
+        ),
+        counts=lambda n, t, proto, p: BatchTallyAttack(
+            t, enable_bleed=False, **p
+        ),
+    ),
+    "tally-bleed-only": _engines(
+        reference=lambda n, t, proto, p: TallyAttackAdversary(
+            t, enable_split=False, **p
+        ),
+        counts=lambda n, t, proto, p: BatchTallyAttack(
+            t, enable_split=False, **p
+        ),
+    ),
+    "anti-beacon": _engines(
+        reference=lambda n, t, proto, p: AntiBeaconAdversary(t),
+    ),
+    "benor-quorum": _engines(
+        reference=lambda n, t, proto, p: BenOrQuorumAdversary(
+            t,
+            decide_threshold=int(
+                p.get("decide_threshold", getattr(proto, "t", t) + 1)
+            ),
+        ),
+    ),
+    "exact-stall": _engines(
+        reference=lambda n, t, proto, p: ExactValencyAdversary(
+            t, proto, n, **{"objective": "rounds", **p}
+        ),
+    ),
+    # Empty schedule: "static" exists so scripted schedules (regression
+    # replays) are constructible by name; pass a real schedule
+    # programmatically via StaticAdversary(t, schedule=...).
+    "static": _engines(
+        reference=lambda n, t, proto, p: StaticAdversary(t, schedule={}),
+    ),
+    # The whole budget crashed in one scripted round (default round 0):
+    # the Validity stress scenario of E7/A1.
+    "static-mass-crash": _engines(
+        reference=lambda n, t, proto, p: StaticAdversary(
+            t, schedule={int(p.get("round", 0)): list(range(t))}
+        ),
+    ),
+    "oblivious-calibrated": _engines(
+        reference=lambda n, t, proto, p: ObliviousAdversary(
+            t, calibrated_drip_schedule
+        ),
+        counts=lambda n, t, proto, p: BatchOblivious.from_schedule(
+            t, calibrated_drip_schedule
+        ),
+    ),
+    "oblivious-uniform": _engines(
+        reference=lambda n, t, proto, p: ObliviousAdversary(
+            t, uniform_schedule
+        ),
+    ),
+    "oblivious-burst": _engines(
+        reference=lambda n, t, proto, p: ObliviousAdversary(
+            t, burst_schedule
+        ),
+    ),
+    "oblivious-drip": _engines(
+        reference=lambda n, t, proto, p: ObliviousAdversary(
+            t, partial(drip_schedule, per_round=int(p.get("per_round", 1)))
+        ),
+    ),
+    "valency-keeper": _engines(
+        counts=lambda n, t, proto, p: BatchValencyKeeper(t, **p),
+    ),
+    "partition": _engines(
+        mask=lambda n, t, proto, p: Batch2DPartition(t, **p),
     ),
 }
 
 
-def available_adversaries() -> List[str]:
-    """Sorted names accepted by :func:`make_adversary`."""
-    return sorted(_FACTORIES)
+def available_adversaries(engine: Optional[str] = "reference") -> List[str]:
+    """Sorted names with a factory for ``engine`` (every name for
+    ``None``)."""
+    return sorted(
+        name
+        for name, row in _FACTORIES.items()
+        if engine is None or engine in row
+    )
 
 
-def make_adversary(name: str, n: int, t: int, protocol) -> Adversary:
-    """Build the named adversary for an ``n``-process run with budget
-    ``t`` against ``protocol``.
+def adversary_factory(
+    name: str, engine: str = "reference"
+) -> AdversaryFactory:
+    """The factory ``engine`` builds ``name`` with; builds nothing.
 
     Raises:
-        ConfigurationError: unknown name.
+        ConfigurationError: unknown name, or no factory for ``engine``
+            (the message names the engines that have one).
     """
     try:
-        factory = _FACTORIES[name]
+        row = _FACTORIES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown adversary {name!r}; available: "
-            f"{', '.join(available_adversaries())}"
+            f"{', '.join(available_adversaries(None))}"
         ) from None
-    return factory(n, t, protocol)
+    try:
+        return row[engine]
+    except KeyError:
+        raise ConfigurationError(
+            f"adversary {name!r} has no {engine}-engine implementation; "
+            f"it runs on: {', '.join(sorted(row))}"
+        ) from None
+
+
+def make_adversary(
+    name: str,
+    n: int,
+    t: int,
+    protocol: object = None,
+    *,
+    engine: str = "reference",
+    params: Optional[Mapping[str, object]] = None,
+) -> object:
+    """Build the named adversary for ``engine``: an ``n``-process run
+    with budget ``t`` against ``protocol``, configured by ``params``.
+
+    Raises:
+        ConfigurationError: see :func:`adversary_factory`.
+    """
+    return adversary_factory(name, engine)(n, t, protocol, dict(params or {}))
 
 
 def register_adversary(
-    name: str, factory: Callable[[int, int, object], Adversary]
+    name: str, factory: Callable[..., Adversary]
 ) -> None:
-    """Register a custom adversary factory.
+    """Register a reference-engine factory ``(n, t, protocol,
+    **params)`` (serial execution only: process-pool workers resolve
+    names by import and will not see runtime registrations).
 
     Raises:
         ConfigurationError: if the name is already taken.
     """
     if name in _FACTORIES:
         raise ConfigurationError(f"adversary {name!r} already registered")
-    _FACTORIES[name] = factory
+    _FACTORIES[name] = _engines(
+        reference=lambda n, t, proto, p: factory(n, t, proto, **p)
+    )

@@ -28,6 +28,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
+from repro._math import binomial_sum
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -81,8 +82,7 @@ def _binom_cdf(n: int, m: int) -> float:
         return 0.0
     if m >= n:
         return 1.0
-    total = sum(math.comb(n, i) for i in range(0, m + 1))
-    return float(Fraction(total, 1 << n))
+    return float(Fraction(binomial_sum(n, 0, m), 1 << n))
 
 
 def blowup_probability_threshold_set(n: int, m: int, l: int) -> float:

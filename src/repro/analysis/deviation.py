@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro._math import binomial_sum
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -71,17 +72,13 @@ def corollary45_bound(n: int) -> float:
 def exact_deviation_probability(n: int, threshold: float) -> float:
     """Exact ``Pr(x - n/2 >= threshold)`` for ``x ~ Bin(n, 1/2)``.
 
-    Computed by summing binomial probabilities with ``math.comb`` (no
-    floating-point cancellation: the terms are all positive and the
-    arithmetic is exact until the final division).
+    The tail's coefficient sum is an exact integer
+    (:func:`repro._math.binomial_sum`), so there is no floating-point
+    cancellation until the final division.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    lo = math.ceil(n / 2.0 + threshold)
-    if lo > n:
-        return 0.0
-    lo = max(lo, 0)
-    total = sum(math.comb(n, i) for i in range(lo, n + 1))
+    total = binomial_sum(n, math.ceil(n / 2.0 + threshold), n)
     return float(Fraction(total, 1 << n))
 
 

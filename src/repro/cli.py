@@ -38,7 +38,7 @@ from repro._math import (
     adversary_round_budget,
     deterministic_stage_threshold,
 )
-from repro.adversary.registry import available_adversaries
+from repro.adversary.registry import adversary_factory, available_adversaries
 from repro.analysis.bounds import (
     expected_rounds_theta,
     lower_bound_rounds_thm1,
@@ -67,16 +67,14 @@ from repro.harness.exec import (
     ResultCache,
     TrialBatch,
     TrialSpec,
-    available_batch2d_adversaries,
-    available_batch_adversaries,
     available_input_kinds,
-    build_batch_adversary,
     build_protocol,
     make_executor,
     spec_params,
 )
 from repro.harness.report import (
     Table,
+    quarantine_line,
     render_table,
     report_quarantined,
     resilience_note,
@@ -155,10 +153,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     # Fail fast on bad (protocol, n, t) combinations before any worker
     # is spawned (e.g. benor requires t < n/2), and on adversaries the
-    # selected engine has no implementation for.
+    # selected engine has no factory for.
     build_protocol(spec)
-    if spec.engine in ("batch", "batch2d"):
-        build_batch_adversary(spec)
+    adversary_factory(spec.adversary, spec.engine)
     with _make_executor(args, cache_on=args.cache) as executor:
         stats = executor.run_batch(
             TrialBatch(
@@ -500,6 +497,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if final["state"] != "done":
         print(f"error: job failed: {final.get('error')}", file=sys.stderr)
         return 1
+    for chunk in final["quarantined"]:
+        print(quarantine_line(**chunk), file=sys.stderr)
     table = Table(
         title=f"job {receipt.job_id}: {len(final['results'])} batch(es)",
         columns=["batch", "trials", "mean rounds", "timeouts", "missing"],
@@ -515,7 +514,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         f"{cache.get('misses', 0)} computed"
     )
     print(render_table(table))
-    return 0
+    return 1 if any(r["missing_trials"] for r in final["results"]) else 0
 
 
 # ----------------------------------------------------------------------
@@ -575,13 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--protocol", choices=available_protocols(),
                      default="synran")
     run.add_argument(
-        "--adversary",
-        choices=sorted(
-            set(available_adversaries())
-            | set(available_batch_adversaries())
-            | set(available_batch2d_adversaries())
-        ),
+        "--adversary", choices=available_adversaries(None),
         default="tally-attack",
+        help="engines without a factory for the name reject it",
     )
     run.add_argument(
         "--engine", choices=ENGINE_KINDS, default=ENGINE_REFERENCE,

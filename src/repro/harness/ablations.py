@@ -176,7 +176,7 @@ def ablation_a2_det_handoff(
         ("benign", "benign", ()),
         (
             "burst",
-            "random",
+            "random-partial",
             spec_params(rate=0.0, burst_probability=1.0),
         ),
     ]

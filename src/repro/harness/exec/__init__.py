@@ -30,8 +30,6 @@ compatibility note.
 """
 
 from repro.harness.exec.builders import (
-    available_batch2d_adversaries,
-    available_batch_adversaries,
     available_input_kinds,
     build_adversary,
     build_batch_adversary,
@@ -93,8 +91,6 @@ __all__ = [
     "TrialOutcome",
     "TrialSpec",
     "WIRE_VERSION",
-    "available_batch2d_adversaries",
-    "available_batch_adversaries",
     "batch_from_wire",
     "batch_to_wire",
     "available_input_kinds",

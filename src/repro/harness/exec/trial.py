@@ -29,14 +29,15 @@ from repro.harness.exec.builders import (
     build_inputs,
     build_protocol,
 )
-from repro.harness.exec.spec import TrialSpec
-from repro.sim.batch import BatchResult
+from repro.harness.exec.spec import ENGINE_BATCH, ENGINE_BATCH2D, TrialSpec
+from repro.sim.batch import BatchFastEngine, BatchResult
+from repro.sim.batch2d import Batch2DEngine
 from repro.sim.checks import verify_execution
 from repro.sim.engine import Engine
 from repro.sim.model import Verdict
-from repro.sim.registry import BATCH_ENGINES
 
 __all__ = [
+    "BATCH_ENGINES",
     "TrialOutcome",
     "batch_outcomes",
     "compute_chunk",
@@ -55,6 +56,14 @@ _SAMPLED_INPUT_KINDS = frozenset({"random"})
 #: XOR mask separating the input-sampling stream from the engine stream
 #: (kept from the factory-based drivers so both seed the same way).
 _INPUT_STREAM_MASK = 0x5EED
+
+#: Engine kind -> vectorized engine class, keyed by ``TrialSpec.engine``
+#: values.  Both constructors share the ``(protocol, adversary, n, *,
+#: max_rounds, strict_termination, fault_model)`` contract.
+BATCH_ENGINES: Dict[str, type] = {
+    ENGINE_BATCH: BatchFastEngine,
+    ENGINE_BATCH2D: Batch2DEngine,
+}
 
 
 @dataclass(frozen=True)
@@ -248,7 +257,7 @@ def run_spec_batch(
 
     The batch counterpart of :func:`run_spec_trial`: one call advances
     every listed trial in lockstep through the engine class the spec's
-    kind selects from :data:`repro.sim.registry.BATCH_ENGINES`
+    kind selects from :data:`BATCH_ENGINES`
     (:class:`~repro.sim.batch.BatchFastEngine` for ``engine="batch"``,
     :class:`~repro.sim.batch2d.Batch2DEngine` for ``engine="batch2d"``).
     Per-trial seeds are the same ``(base_seed, spec_hash, trial_index)``

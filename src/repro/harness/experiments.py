@@ -517,7 +517,7 @@ def experiment_e7_baselines(
         configs = [
             ("synran", t, "tally-attack", "tally-attack", ()),
             ("symmetric-ran", t, "tally-attack", "tally-attack", ()),
-            ("floodset", t, "random", "random-crash", spec_params(rate=0.1)),
+            ("floodset", t, "random-partial", "random-crash", spec_params(rate=0.1)),
             (
                 "benor",
                 benor_t,
@@ -682,18 +682,18 @@ def experiment_e9_correctness(
     grid = [
         ("synran", synran_t, [
             ("benign", "benign", ()),
-            ("random", "random", spec_params(rate=0.15)),
+            ("random-partial", "random-partial", spec_params(rate=0.15)),
             ("burst", "burst", ()),
             ("tally-attack", "tally-attack", ()),
         ]),
         ("floodset", synran_t, [
             ("benign", "benign", ()),
-            ("random", "random", spec_params(rate=0.15)),
+            ("random-partial", "random-partial", spec_params(rate=0.15)),
             ("burst", "burst", ()),
         ]),
         ("benor", benor_t, [
             ("benign", "benign", ()),
-            ("random", "random", spec_params(rate=0.1)),
+            ("random-partial", "random-partial", spec_params(rate=0.1)),
             ("quorum-attack", "benor-quorum", ()),
         ]),
     ]

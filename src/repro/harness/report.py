@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Table",
     "format_cell",
+    "quarantine_line",
     "render_table",
     "report_quarantined",
     "resilience_note",
@@ -124,6 +125,23 @@ def resilience_note(executor: "Executor") -> Optional[str]:
     )
 
 
+def quarantine_line(
+    label: str,
+    trial_indices: Sequence[int],
+    attempts: int,
+    kind: str,
+    error: str,
+) -> str:
+    """The ``error:`` line for one quarantined chunk of batch ``label``
+    (the fields of its ``ChunkFailure``)."""
+    first, last = trial_indices[0], trial_indices[-1]
+    span = f"{first}-{last}" if len(trial_indices) > 1 else first
+    return (
+        f"error: {label}: trial(s) {span} quarantined after {attempts} "
+        f"attempt(s) ({kind}): {error}"
+    )
+
+
 def report_quarantined(executor: "Executor") -> int:
     """Print one ``error:`` line on stderr per quarantined chunk, with
     its batch label, trials, failure kind and last error; return the
@@ -131,13 +149,9 @@ def report_quarantined(executor: "Executor") -> int:
     lost = 0
     for report in executor.reports:
         for failure in report.failures:
-            trials = failure.trial_indices
-            lost += len(trials)
-            span = f"{trials[0]}-{trials[-1]}" if len(trials) > 1 else trials[0]
+            lost += len(failure.trial_indices)
             print(
-                f"error: {report.label}: trial(s) {span} "
-                f"quarantined after {failure.attempts} attempt(s) "
-                f"({failure.kind}): {failure.error}",
+                quarantine_line(report.label, **failure.to_jsonable()),
                 file=sys.stderr,
             )
     return lost

@@ -41,13 +41,13 @@ from repro.harness.exec.spec import (
     derive_trial_seed,
 )
 from repro.harness.exec.trial import (
+    BATCH_ENGINES,
     TrialOutcome,
     batch_outcomes,
     execute_reference_trial,
 )
 from repro.sim.batch import BatchFastAdversary
 from repro.sim.batch2d import Batch2DAdversary
-from repro.sim.registry import BATCH_ENGINES
 from repro.sim.model import Verdict
 
 __all__ = ["TrialStats", "run_reference_trials", "run_fast_trials"]

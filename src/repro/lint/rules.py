@@ -12,10 +12,11 @@ Rule summary (full prose in ``docs/static_analysis.md``):
   module-level ``random.<fn>()`` calls, ``from random import <fn>``,
   unseeded ``random.Random()`` / ``default_rng()``, ``SystemRandom``,
   and ``np.random.<fn>`` global-state access are all flagged.
-* **REP002** — registry completeness.  Every concrete
-  ``Protocol``/``Adversary``/``FaultModel`` subclass under
-  ``src/repro/{protocols,adversary,faultmodels}/`` must be referenced
-  by its package's ``registry.py``, and every registry name must
+* **REP002** — registry completeness, per concept.  Every concrete
+  subclass of a concept's base classes under
+  ``src/repro/{protocols,adversary,faultmodels,sim}/`` must be
+  referenced by that concept's ``registry.py`` (adversaries of every
+  engine by ``adversary/registry.py``), and every registry name must
   appear in ``docs/``.
 * **REP003** — adversary-knowledge boundary.  Adversary modules may
   only touch the public view/API of ``sim.model``: accessing ``.rng``
@@ -123,25 +124,25 @@ _NUMPY_SEEDABLE = frozenset(
     }
 )
 
-#: Base classes whose concrete descendants REP002 requires registered.
-_REGISTRY_ROOTS = frozenset(
-    {
-        "Adversary",
-        "ConsensusProtocol",
-        "Protocol",
-        "FaultModel",
-        "BatchFastAdversary",
-        "Batch2DAdversary",
-    }
-)
-
 #: Packages REP002/REP003 apply to (matched against path segments).
 _ADVERSARY_DIR = "adversary"
 _PROTOCOL_DIR = "protocols"
 _FAULTMODEL_DIR = "faultmodels"
-#: Additional registry-bearing package covered by REP002 only (REP003's
+#: Engine package whose adversary classes REP002 also covers (REP003's
 #: adversary-module structural checks do not apply to engine code).
 _SIM_DIR = "sim"
+
+#: REP002's concepts: the package whose ``registry.py`` holds the one
+#: name table, and the base classes whose concrete descendants (in any
+#: covered package) it must reference.
+_CONCEPTS = (
+    (
+        _ADVERSARY_DIR,
+        frozenset({"Adversary", "BatchFastAdversary", "Batch2DAdversary"}),
+    ),
+    (_PROTOCOL_DIR, frozenset({"ConsensusProtocol", "Protocol"})),
+    (_FAULTMODEL_DIR, frozenset({"FaultModel"})),
+)
 
 _CITE_RE = re.compile(
     r"\b(Lemma|Theorem|Thm|Corollary|Cor)s?\b\.?[\s\-–]+"
@@ -900,12 +901,14 @@ def check_rep002(
     contexts: Sequence[FileContext], config: RuleConfig
 ) -> List[Finding]:
     findings: List[Finding] = []
-    packages: Dict[Path, List[FileContext]] = {}
+    # Covered files grouped by the root their packages share, so a
+    # class in ``sim/`` is held to its sibling ``adversary/registry.py``.
+    roots: Dict[Path, List[FileContext]] = {}
     for ctx in contexts:
         if ctx.path.parent.name in (
             _ADVERSARY_DIR, _PROTOCOL_DIR, _FAULTMODEL_DIR, _SIM_DIR
         ):
-            packages.setdefault(ctx.path.parent, []).append(ctx)
+            roots.setdefault(ctx.path.parent.parent, []).append(ctx)
 
     docs_text = ""
     if config.docs_dir is not None and config.docs_dir.is_dir():
@@ -914,14 +917,12 @@ def check_rep002(
             for p in sorted(config.docs_dir.rglob("*.md"))
         )
 
-    for pkg_dir, members in sorted(packages.items()):
-        registry_ctx = next(
-            (c for c in members if c.path.name == "registry.py"), None
-        )
-        registered: Set[str] = (
-            _registry_identifiers(registry_ctx) if registry_ctx else set()
-        )
-
+    for _root, members in sorted(roots.items()):
+        registries = {
+            c.path.parent.name: c
+            for c in members
+            if c.path.name == "registry.py"
+        }
         classes: Dict[str, _ClassInfo] = {}
         for ctx in members:
             if ctx.path.name in ("registry.py", "__init__.py"):
@@ -936,21 +937,25 @@ def check_rep002(
                         lineno=node.lineno,
                     )
 
-        def reaches_root(name: str, seen: Set[str]) -> bool:
-            if name in _REGISTRY_ROOTS:
+        def reaches(name: str, bases: frozenset, seen: Set[str]) -> bool:
+            if name in bases:
                 return True
             info = classes.get(name)
             if info is None or name in seen:
                 return False
             seen.add(name)
-            return any(reaches_root(base, seen) for base in info.bases)
+            return any(reaches(base, bases, seen) for base in info.bases)
 
-        for info in classes.values():
-            if info.abstract:
-                continue
-            if not any(reaches_root(base, set()) for base in info.bases):
-                continue
-            if info.name not in registered:
+        for concept, bases in _CONCEPTS:
+            registry_ctx = registries.get(concept)
+            registered: Set[str] = (
+                _registry_identifiers(registry_ctx) if registry_ctx else set()
+            )
+            for info in classes.values():
+                if info.abstract or info.name in registered:
+                    continue
+                if not any(reaches(b, bases, set()) for b in info.bases):
+                    continue
                 findings.append(
                     Finding(
                         rule="REP002",
@@ -959,14 +964,16 @@ def check_rep002(
                         col=0,
                         message=(
                             f"concrete class {info.name!r} is not "
-                            f"referenced by {pkg_dir.name}/registry.py; "
+                            f"referenced by {concept}/registry.py; "
                             "register it (or mark it abstract)"
                         ),
                         symbol=info.name,
                     )
                 )
 
-        if registry_ctx is not None and docs_text:
+        if not docs_text:
+            continue
+        for registry_ctx in registries.values():
             for key, lineno in _registry_keys(registry_ctx):
                 if key not in docs_text:
                     findings.append(

@@ -1,14 +1,15 @@
-"""Name-based protocol construction for the harness and the CLI examples.
+"""The one protocol name table, for the harness, specs and the CLI.
 
 Protocols differ in what they need at construction time (Ben-Or and
-FloodSet need the target resilience ``t``; SynRan needs nothing), so the
-registry maps a name to a factory taking ``(n, t)`` and returning a
-ready instance.
+FloodSet need the target resilience ``t``; SynRan needs nothing), so
+each name maps to a factory taking ``(n, t, params)`` — ``params`` is
+a spec's primitive protocol parameters — and returning a ready
+instance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.protocols.base import ConsensusProtocol
@@ -19,16 +20,23 @@ from repro.protocols.gp_hybrid import GPHybridProtocol
 from repro.protocols.symmetric import SymmetricRanProtocol
 from repro.protocols.synran import SynRanProtocol
 
-__all__ = ["available_protocols", "make_protocol", "register_protocol"]
+__all__ = [
+    "available_protocols",
+    "make_protocol",
+    "protocol_factory",
+    "register_protocol",
+]
 
-_FACTORIES: Dict[str, Callable[[int, int], ConsensusProtocol]] = {
-    "synran": lambda n, t: SynRanProtocol(),
-    "synran-nodet": lambda n, t: SynRanProtocol(det_handoff=False),
-    "symmetric-ran": lambda n, t: SymmetricRanProtocol(),
-    "benor": lambda n, t: BenOrProtocol(t=t),
-    "floodset": lambda n, t: FloodSetProtocol.for_resilience(t),
-    "gp-hybrid": lambda n, t: GPHybridProtocol.for_resilience(n, t),
-    "beacon-ran": lambda n, t: BeaconRanProtocol(),
+ProtocolFactory = Callable[[int, int, Dict[str, object]], ConsensusProtocol]
+
+_FACTORIES: Dict[str, ProtocolFactory] = {
+    "synran": lambda n, t, p: SynRanProtocol(**p),
+    "synran-nodet": lambda n, t, p: SynRanProtocol(det_handoff=False, **p),
+    "symmetric-ran": lambda n, t, p: SymmetricRanProtocol(**p),
+    "benor": lambda n, t, p: BenOrProtocol(t=t, **p),
+    "floodset": lambda n, t, p: FloodSetProtocol.for_resilience(t),
+    "gp-hybrid": lambda n, t, p: GPHybridProtocol.for_resilience(n, t, **p),
+    "beacon-ran": lambda n, t, p: BeaconRanProtocol(**p),
 }
 
 
@@ -37,21 +45,36 @@ def available_protocols() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def make_protocol(name: str, n: int, t: int) -> ConsensusProtocol:
-    """Build the named protocol for an ``n``-process, budget-``t`` setup.
+def protocol_factory(name: str) -> ProtocolFactory:
+    """The factory :func:`make_protocol` builds ``name`` with; builds
+    nothing.
 
     Raises:
-        ConfigurationError: unknown name, or a ``t`` the protocol
-            cannot be configured for.
+        ConfigurationError: unknown name.
     """
     try:
-        factory = _FACTORIES[name]
+        return _FACTORIES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown protocol {name!r}; available: "
             f"{', '.join(available_protocols())}"
         ) from None
-    protocol = factory(n, t)
+
+
+def make_protocol(
+    name: str,
+    n: int,
+    t: int,
+    params: Optional[Mapping[str, object]] = None,
+) -> ConsensusProtocol:
+    """Build the named protocol for an ``n``-process, budget-``t`` setup,
+    configured by ``params``.
+
+    Raises:
+        ConfigurationError: unknown name, or a ``t`` the protocol
+            cannot be configured for.
+    """
+    protocol = protocol_factory(name)(n, t, dict(params or {}))
     if protocol.requires_majority and t * 2 >= n and n > 1:
         raise ConfigurationError(
             f"protocol {name!r} requires t < n/2; got n={n}, t={t}"
@@ -60,13 +83,15 @@ def make_protocol(name: str, n: int, t: int) -> ConsensusProtocol:
 
 
 def register_protocol(
-    name: str, factory: Callable[[int, int], ConsensusProtocol]
+    name: str, factory: Callable[..., ConsensusProtocol]
 ) -> None:
-    """Register a custom protocol factory (used by extension examples).
+    """Register a custom protocol factory ``(n, t, **params)`` (serial
+    execution only: process-pool workers resolve names by import and
+    will not see runtime registrations).
 
     Raises:
         ConfigurationError: if the name is already taken.
     """
     if name in _FACTORIES:
         raise ConfigurationError(f"protocol {name!r} already registered")
-    _FACTORIES[name] = factory
+    _FACTORIES[name] = lambda n, t, p: factory(n, t, **p)

@@ -95,6 +95,7 @@ class Job:
         self.cache_hits = 0
         self.cache_misses = 0
         self.resilience: Dict[str, Any] = {}
+        self.quarantined: List[Dict[str, Any]] = []
         self._results: List[Dict[str, Any]] = []
         self._outcomes: List[Dict[str, Any]] = []
         self._stats: List[TrialStats] = []
@@ -121,8 +122,9 @@ class Job:
         stats: TrialStats,
         outcomes: Sequence[TrialOutcome],
     ) -> None:
-        """One batch of the plan completed."""
-        summary = stats.rounds_summary()
+        """One batch of the plan completed (possibly with every trial
+        quarantined, which leaves its round summary empty)."""
+        summary = stats.rounds_summary() if stats.decision_rounds else None
         with self._lock:
             self._trials_done += batch.trials
             self._chunk_trials = 0
@@ -133,9 +135,9 @@ class Job:
                     "batch_key": batch.batch_key(),
                     "spec_hash": batch.spec.spec_hash(),
                     "trials": batch.trials,
-                    "mean_rounds": summary.mean,
-                    "min_rounds": summary.minimum,
-                    "max_rounds": summary.maximum,
+                    "mean_rounds": summary.mean if summary else None,
+                    "min_rounds": summary.minimum if summary else None,
+                    "max_rounds": summary.maximum if summary else None,
                     "timeouts": stats.timeouts,
                     "missing_trials": stats.missing_trials,
                     "engine": stats.engine_kind,
@@ -155,6 +157,11 @@ class Job:
             self.cache_hits = executor.cache_hits
             self.cache_misses = executor.cache_misses
             self.resilience = executor.resilience_summary()
+            self.quarantined = [
+                {"label": report.label, **failure.to_jsonable()}
+                for report in executor.reports
+                for failure in report.failures
+            ]
             self.error = error
             self.state = JOB_FAILED if error else JOB_DONE
             self._bump()
@@ -219,6 +226,7 @@ class Job:
                     "misses": self.cache_misses,
                 }
                 doc["resilience"] = self.resilience
+                doc["quarantined"] = list(self.quarantined)
             if self.state == JOB_DONE:
                 doc["results"] = list(self._results)
             return doc

@@ -12,7 +12,9 @@ and served to every submitter.
 Endpoints:
 
 * ``POST /jobs`` — body ``{"plan": <wire plan>, "label": str?}``;
-  responds ``202 {"job_id": ..., "coalesced": bool, "state": ...}``.
+  responds ``202 {"job_id": ..., "coalesced": bool, "state": ...}``,
+  or 400 when a batch names a protocol or adversary its tables (or its
+  engine) do not have.
 * ``GET /jobs`` — every known job's status document.
 * ``GET /jobs/<id>`` — one job's status (progress, and results +
   cache/resilience accounting once settled).
@@ -36,6 +38,7 @@ from pathlib import Path
 from typing import AsyncIterator, Optional, Tuple
 
 import repro
+from repro.adversary.registry import adversary_factory
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.exec import (
     Executor,
@@ -45,6 +48,7 @@ from repro.harness.exec import (
 )
 from repro.harness.exec.wire import WIRE_VERSION
 from repro.harness.resilience import RetryPolicy
+from repro.protocols.registry import protocol_factory
 from repro.service.jobs import (
     JOB_DONE,
     JOB_FAILED,
@@ -189,6 +193,11 @@ class SweepServerApp:
             raise HttpError(400, "submission must be a JSON object")
         try:
             plan = plan_from_wire(doc.get("plan"))
+            # Name lookups only: a batch its engine cannot build is
+            # refused here instead of failing every chunk later.
+            for batch in plan:
+                protocol_factory(batch.spec.protocol)
+                adversary_factory(batch.spec.adversary, batch.spec.engine)
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
         label = str(doc.get("label", ""))

@@ -30,8 +30,8 @@ Three engines are provided:
   per-process state with mask-level victim selection and per-recipient
   delivery masks; counts adversaries lift onto it bit-identically.
 
-Engine-family name tables (adversaries, engine kinds)
-live in :mod:`repro.sim.registry`.
+Adversary names resolve, per engine, through the one table in
+:mod:`repro.adversary.registry`.
 """
 
 from repro.sim.model import (

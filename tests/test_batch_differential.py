@@ -14,8 +14,8 @@ oracle it has:
   engine from counter-based hash streams — so coin-flipping runs are
   compared as samples: a two-sample Kolmogorov-Smirnov test on the
   round distribution plus a normal-approximation bound on the decision
-  rate, at n in {32, 64, 128}, for every counts adversary with a
-  silent-crash message-level twin.
+  rate, at n in {32, 64, 128}, for every adversary name the table
+  implements on both engines.
 
 * **Elementwise** for the valency keeper, which has no message-level
   twin: its vectorized decisions are checked against a scalar oracle
@@ -33,11 +33,11 @@ import pytest
 
 from repro._math import deterministic_stage_threshold
 from repro.adversary import BenignAdversary, TallyAttackAdversary
+from repro.adversary.registry import available_adversaries, make_adversary
 from repro.adversary.oblivious import (
     ObliviousAdversary,
     calibrated_drip_schedule,
 )
-from repro.adversary.random_crash import RandomCrashAdversary
 from repro.protocols import SynRanProtocol
 from repro.sim.batch import (
     STAGE_DETERMINISTIC,
@@ -47,7 +47,6 @@ from repro.sim.batch import (
     BatchFastView,
     BatchOblivious,
     BatchRandomCrash,
-    BatchTallyAttack,
     BatchValencyKeeper,
 )
 from repro.sim.engine import Engine
@@ -196,24 +195,24 @@ def _mixed_inputs(n):
     return [i % 2 for i in range(n)]
 
 
-#: name -> (reference twin factory, batch factory); both take t.  The
-#: twins crash silently, as the counts engine does: the reference
-#: random adversary's partial deliveries are a different attack.
-_ADVERSARIES = {
-    "benign": (lambda t: BenignAdversary(), lambda t: BatchBenign()),
-    "random": (
-        lambda t: RandomCrashAdversary(t, rate=0.1, silent_probability=1.0),
-        lambda t: BatchRandomCrash(t, rate=0.1),
-    ),
-    "tally-attack": (
-        lambda t: TallyAttackAdversary(t),
-        lambda t: BatchTallyAttack(t),
-    ),
-    "oblivious-calibrated": (
-        lambda t: ObliviousAdversary(t, calibrated_drip_schedule),
-        lambda t: BatchOblivious.from_schedule(t, calibrated_drip_schedule),
-    ),
-}
+#: Every name the adversary table implements on both the reference and
+#: the counts engine: a name is one attack, so a new dual-engine name
+#: joins this gate automatically.
+_DUAL_ENGINE = sorted(
+    set(available_adversaries("reference"))
+    & set(available_adversaries("batch"))
+)
+
+
+def test_dual_engine_names():
+    assert _DUAL_ENGINE == [
+        "benign",
+        "oblivious-calibrated",
+        "random",
+        "tally-attack",
+        "tally-bleed-only",
+        "tally-split-only",
+    ]
 
 
 def _reference_sample(adv_factory, n, trials):
@@ -249,23 +248,24 @@ def _batch_sample(adversary, n, trials, seed_offset=10_000):
 
 
 class TestDistributionalAgreement:
-    """Every counts adversary with a message-level twin, n in
-    {32, 64, 128}: KS on the round distribution + a 4-sigma bound on
-    the decide-1 rate."""
+    """Every name with a reference and a counts factory, both built
+    from the adversary table, n in {32, 64, 128}: KS on the round
+    distribution + a 4-sigma bound on the decide-1 rate."""
 
     REFERENCE_TRIALS = 150
     BATCH_TRIALS = 600
 
     @pytest.mark.parametrize("n", [32, 64, 128])
-    @pytest.mark.parametrize("name", sorted(_ADVERSARIES))
+    @pytest.mark.parametrize("name", _DUAL_ENGINE)
     def test_rounds_and_decisions_match(self, name, n):
-        reference_factory, batch_factory = _ADVERSARIES[name]
         t = n
         ref_rounds, ref_dec = _reference_sample(
-            lambda: reference_factory(t), n, self.REFERENCE_TRIALS
+            lambda: make_adversary(name, n, t, SynRanProtocol()),
+            n,
+            self.REFERENCE_TRIALS,
         )
         batch_rounds, batch_dec = _batch_sample(
-            batch_factory(t), n, self.BATCH_TRIALS
+            make_adversary(name, n, t, engine="batch"), n, self.BATCH_TRIALS
         )
 
         stat = ks_statistic(ref_rounds, batch_rounds)

@@ -88,3 +88,33 @@ class TestBenchmarks:
         for ab_id in ALL_ABLATIONS:
             prefix = f"bench_{ab_id.lower()}_"
             assert any(n.startswith(prefix) for n in names), ab_id
+
+
+class TestRegistriesDoc:
+    def _rows(self, heading):
+        section = read("docs/registries.md").split(heading, 1)[1]
+        section = section.split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) > 1:
+                rows[cells[0].strip("`")] = cells
+        return rows
+
+    def test_adversary_engines_match_the_table(self):
+        from repro.adversary.registry import available_adversaries
+        from repro.harness.exec import ENGINE_KINDS
+
+        rows = self._rows("## Adversaries")
+        assert sorted(rows) == available_adversaries(None)
+        for name, cells in rows.items():
+            documented = [e.strip() for e in cells[1].split(",")]
+            engines = [
+                e for e in ENGINE_KINDS if name in available_adversaries(e)
+            ]
+            assert documented == engines, name
+
+    def test_every_protocol_documented(self):
+        from repro.protocols.registry import available_protocols
+
+        assert sorted(self._rows("## Protocols")) == available_protocols()

@@ -19,7 +19,6 @@ from repro.harness.exec import (
     TrialBatch,
     TrialOutcome,
     TrialSpec,
-    available_batch_adversaries,
     build_adversary,
     build_protocol,
     derive_trial_seed,
@@ -157,7 +156,7 @@ class TestTrialSpec:
                 assert build_adversary(spec, probe) is not None
 
     def test_every_fast_adversary_runs(self):
-        for adversary in available_batch_adversaries():
+        for adversary in available_adversaries(ENGINE_BATCH):
             outcome = run_spec_trial(
                 tally_spec(adversary=adversary, n=8, t=8), 0, 1
             )
@@ -334,6 +333,24 @@ class TestResultCache:
         )
         assert cache.load(batch) is None
 
+    def test_entries_of_version_1_0_0_miss(self, tmp_path, monkeypatch):
+        # 1.0.0 built the partial-delivery attack for reference
+        # "random" specs, whose hashes still name "random": the version
+        # bump keeps those results from serving the silent attack.
+        import repro
+
+        batch = TrialBatch(
+            spec=reference_spec(adversary="random"), trials=3
+        )
+        cache = ResultCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(repro, "__version__", "1.0.0")
+            assert cache_module.cache_salt() == "1.0.0/schema3"
+            SerialExecutor(cache=cache).run_outcomes(batch)
+            assert cache.load(batch) is not None
+        assert cache_module.cache_salt() != "1.0.0/schema3"
+        assert cache.load(batch) is None
+
     def test_plan_resume_skips_completed_cells(self, tmp_path):
         plan = ExecutionPlan(
             batches=(
@@ -433,9 +450,7 @@ class TestBatchSpecExecution:
         assert second == SerialExecutor().run_outcomes(batch)
 
     def test_every_batch_adversary_runs(self):
-        from repro.harness.exec import available_batch_adversaries
-
-        for name in available_batch_adversaries():
+        for name in available_adversaries(ENGINE_BATCH):
             outcome = run_spec_batch(
                 batch_spec(adversary=name), [0], 11
             )[0]

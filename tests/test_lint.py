@@ -554,6 +554,48 @@ class TestRep002:
         findings = check_rep002([registry], RuleConfig(docs_dir=docs))
         assert [f.symbol for f in findings] == ["sneaky"]
 
+    def _engine_contexts(self, registered):
+        # Registration is per concept: a counts adversary in sim/ is
+        # held to the adversary package's one table.
+        registry = _ctx(
+            f"""
+            from sim.batch import {registered}
+
+            _FACTORIES = {{"good": {registered}}}
+            """,
+            path="pkg/adversary/registry.py",
+        )
+        engine = _ctx(
+            """
+            import abc
+
+            class BatchFastAdversary(abc.ABC):
+                @abc.abstractmethod
+                def choose(self, view): ...
+
+            class BatchRogue(BatchFastAdversary):
+                def choose(self, view):
+                    return None
+            """,
+            path="pkg/sim/batch.py",
+        )
+        return [registry, engine]
+
+    def test_engine_adversary_missing_from_adversary_registry_flagged(self):
+        findings = check_rep002(
+            self._engine_contexts("BatchOther"), RuleConfig()
+        )
+        assert [(f.symbol, f.file) for f in findings] == [
+            ("BatchRogue", "pkg/sim/batch.py")
+        ]
+        assert "adversary/registry.py" in findings[0].message
+
+    def test_engine_adversary_in_adversary_registry_not_flagged(self):
+        findings = check_rep002(
+            self._engine_contexts("BatchRogue"), RuleConfig()
+        )
+        assert findings == []
+
 
 # ----------------------------------------------------------------------
 # Pragma suppression

@@ -3,10 +3,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro._math import (
     adversary_round_budget,
+    binomial_sum,
     coin_control_budget,
     deterministic_stage_threshold,
     expected_rounds_bound,
@@ -170,3 +171,46 @@ class TestIsqrtCeil:
         r = isqrt_ceil(x)
         assert r * r >= x
         assert (r - 1) * (r - 1) < x or r == 0
+
+
+class TestBinomialSum:
+    # The per-term reference sum is the slow side at n near 3000.
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n=st.integers(min_value=0, max_value=3000),
+        lo=st.integers(min_value=-5, max_value=3005),
+        width=st.integers(min_value=-5, max_value=3005),
+    )
+    def test_equals_per_term_comb_sum(self, n, lo, width):
+        hi = lo + width
+        expected = sum(
+            math.comb(n, i) for i in range(max(lo, 0), min(hi, n) + 1)
+        )
+        assert binomial_sum(n, lo, hi) == expected
+
+    def test_full_range_is_two_to_the_n(self):
+        assert binomial_sum(64, 0, 64) == 2**64
+
+    def test_e3_exact_tails_at_n_16384(self):
+        # E3's full-scale exact column, computed with the per-term
+        # math.comb sum this helper replaced.
+        from repro.analysis.deviation import (
+            corollary45_threshold,
+            exact_deviation_probability,
+        )
+
+        n = 16384
+        root = math.sqrt(n)
+        assert [
+            exact_deviation_probability(n, t * root)
+            for t in (0.25, 0.5, 0.75, 1.0)
+        ] == [
+            0.31129407064554687,
+            0.1605530537540435,
+            0.06782377925248051,
+            0.02317359484685994,
+        ]
+        assert (
+            exact_deviation_probability(n, corollary45_threshold(n))
+            == 0.219632219654398
+        )

@@ -30,7 +30,6 @@ ALL_MODULES = [
     "repro.sim.engine",
     "repro.sim.inbox",
     "repro.sim.model",
-    "repro.sim.registry",
     "repro.sim.replay",
     "repro.sim.streams",
     "repro.sim.trace",

@@ -1,13 +1,17 @@
 """Full-outcome goldens for the message-level reference engine.
 
 Every protocol that runs on :class:`~repro.sim.engine.Engine` is pinned
-against adversaries that split deliveries (``random``,
-``tally-split-only``, ``anti-beacon``, ``benor-quorum``) under every
-fault model (``crash``, ``send-omission``, ``receive-omission``,
-``late`` with lag 1), so receivers of one round see different inboxes.
-The goldens were captured on the engine that built one inbox per
-receiver by testing every (sender, receiver) pair; the engine that
-shares one inbox per distinct delivery must reproduce them exactly.
+against adversaries that split deliveries (``random-partial``,
+``tally-split-only``, ``anti-beacon``, ``benor-quorum``) and the silent
+``random`` crashes under every fault model (``crash``,
+``send-omission``, ``receive-omission``, ``late`` with lag 1), so
+receivers of one round see different inboxes.  The goldens were
+captured on the engine that built one inbox per receiver by testing
+every (sender, receiver) pair; the engine that shares one inbox per
+distinct delivery must reproduce them exactly.  The ``random`` and
+``random-partial`` rows were captured when the partial-delivery attack
+moved from the name ``random`` to ``random-partial`` (seeds derive
+from the name), from the code before the move.
 
 Each golden row is ``[seed, rounds, decision_round, crashes, decision,
 [agreement, validity, termination, verdict decision]]`` for trials 0
@@ -16,13 +20,15 @@ no golden: benor against benor-quorum under receive-omission exceeds
 its budget at every size tried.  ``ERRORS`` pins configurations that stop
 with a :class:`~repro.errors.ProtocolViolationError`: its message names
 the first receiver, in pid order, to see a stray ``DET`` message.
+``BUDGET_ERRORS`` pins benor under receive-omission against both random
+attacks, which exceed their budget at every size the file uses.
 """
 
 import re
 
 import pytest
 
-from repro.errors import ProtocolViolationError
+from repro.errors import BudgetExceededError, ProtocolViolationError
 from repro.harness.exec.spec import TrialSpec, spec_params
 from repro.harness.exec.trial import run_spec_trial
 
@@ -31,20 +37,36 @@ BASE_SEED = 11
 # (protocol, adversary, fault model, n, t, inputs) -> rows
 GOLDENS = {
     ('synran', 'random', 'crash', 5, 2, 'worst'): [
-        [6563965658257591029, 7, 6, 2, 0, [True, True, True, 0]],
-        [4995072323737950933, 11, 10, 2, 0, [True, True, True, 0]],
+        [6563965658257591029, 8, 7, 2, 0, [True, True, True, 0]],
+        [4995072323737950933, 5, 4, 2, 0, [True, True, True, 0]],
+    ],
+    ('synran', 'random-partial', 'crash', 5, 2, 'worst'): [
+        [3195384255510394607, 7, 6, 2, 1, [True, True, True, 1]],
+        [4309522799971610917, 4, 3, 0, 0, [True, True, True, 0]],
     ],
     ('synran', 'random', 'send-omission', 12, 12, 'half'): [
-        [432484046033365230, 5, 4, 0, 1, [True, True, True, 1]],
+        [432484046033365230, 11, 10, 0, 1, [True, True, True, 1]],
         [1101504390558338195, 3, 2, 0, 0, [True, True, True, 0]],
+    ],
+    ('synran', 'random-partial', 'send-omission', 12, 12, 'half'): [
+        [386164011495160211, 3, 2, 0, 1, [True, True, True, 1]],
+        [5227480127216919383, 7, 6, 0, 1, [True, True, True, 1]],
     ],
     ('synran', 'random', 'receive-omission', 24, 24, 'random'): [
         [3657318737810767851, 9, 8, 0, 0, [True, True, True, 0]],
         [6720105857471171115, 3, 2, 0, 0, [True, True, True, 0]],
     ],
+    ('synran', 'random-partial', 'receive-omission', 24, 24, 'random'): [
+        [8637353094069514525, 5, 4, 0, 0, [True, True, True, 0]],
+        [6587640421510627550, 3, 2, 0, 0, [True, True, True, 0]],
+    ],
     ('synran', 'random', 'late', 5, 5, 'worst'): [
         [7050119663455335741, 9, 8, 3, 1, [True, True, True, 1]],
-        [5876037015064830434, 6, 5, 2, 0, [True, True, True, 0]],
+        [5876037015064830434, 8, 7, 3, 0, [True, True, True, 0]],
+    ],
+    ('synran', 'random-partial', 'late', 5, 5, 'worst'): [
+        [7780284834111351552, 11, 10, 4, 0, [True, True, True, 0]],
+        [7516473325632427458, 11, 10, 5, None, [True, True, True, None]],
     ],
     ('synran', 'tally-split-only', 'crash', 12, 6, 'half'): [
         [6845699472825247972, 6, 5, 1, 0, [True, True, True, 0]],
@@ -95,20 +117,36 @@ GOLDENS = {
         [3122013511320159227, 4, 3, 0, 1, [True, True, True, 1]],
     ],
     ('symmetric-ran', 'random', 'crash', 5, 2, 'half'): [
-        [5284947363844281786, 8, 7, 2, 0, [True, True, True, 0]],
+        [5284947363844281786, 4, 3, 1, 0, [True, True, True, 0]],
         [6376242029810386728, 7, 6, 2, 0, [True, True, True, 0]],
+    ],
+    ('symmetric-ran', 'random-partial', 'crash', 5, 2, 'half'): [
+        [754134574258167879, 4, 3, 1, 0, [True, True, True, 0]],
+        [8225018456637771657, 3, 2, 0, 1, [True, True, True, 1]],
     ],
     ('symmetric-ran', 'random', 'send-omission', 12, 12, 'random'): [
         [6628297641039929773, 4, 3, 0, 1, [True, True, True, 1]],
-        [8076728511301178933, 15, 14, 0, 0, [True, True, True, 0]],
+        [8076728511301178933, 3, 2, 0, 0, [True, True, True, 0]],
+    ],
+    ('symmetric-ran', 'random-partial', 'send-omission', 12, 12, 'random'): [
+        [1250611209391659214, 11, 10, 0, 1, [True, True, True, 1]],
+        [3628303148005988734, 16, 15, 0, None, [False, True, True, None]],
     ],
     ('symmetric-ran', 'random', 'receive-omission', 24, 24, 'worst'): [
         [411493860718806827, 4, 3, 0, 0, [True, True, True, 0]],
         [2399603800919007934, 4, 3, 0, 0, [True, True, True, 0]],
     ],
+    ('symmetric-ran', 'random-partial', 'receive-omission', 24, 24, 'worst'): [
+        [5020445228561693454, 4, 3, 0, 0, [True, True, True, 0]],
+        [8076451569564723481, 5, 4, 0, 1, [True, True, True, 1]],
+    ],
     ('symmetric-ran', 'random', 'late', 5, 5, 'half'): [
         [7999799548678359928, 4, 3, 0, 0, [True, True, True, 0]],
         [7560157656090729761, 7, 6, 1, 0, [True, True, True, 0]],
+    ],
+    ('symmetric-ran', 'random-partial', 'late', 5, 5, 'half'): [
+        [5519021513029437543, 7, 6, 5, None, [True, True, True, None]],
+        [5712090874897190909, 5, 4, 5, None, [True, True, True, None]],
     ],
     ('symmetric-ran', 'tally-split-only', 'crash', 12, 6, 'random'): [
         [2825198464450587669, 3, 2, 0, 0, [True, True, True, 0]],
@@ -159,20 +197,36 @@ GOLDENS = {
         [1300050506830443926, 11, 10, 0, 0, [True, True, True, 0]],
     ],
     ('beacon-ran', 'random', 'crash', 5, 2, 'random'): [
-        [5125540464351427160, 6, 5, 2, 1, [True, True, True, 1]],
+        [5125540464351427160, 5, 4, 2, 1, [True, True, True, 1]],
         [6960069273602642704, 6, 5, 2, 0, [True, True, True, 0]],
     ],
+    ('beacon-ran', 'random-partial', 'crash', 5, 2, 'random'): [
+        [3760851229481839966, 8, 7, 2, 0, [True, True, True, 0]],
+        [1052799981726537844, 3, 2, 0, 0, [True, True, True, 0]],
+    ],
     ('beacon-ran', 'random', 'send-omission', 12, 12, 'worst'): [
-        [4694493252581519112, 4, 3, 0, 1, [True, True, True, 1]],
+        [4694493252581519112, 15, 14, 0, 0, [True, True, True, 0]],
         [8809443437332696859, 4, 3, 0, 0, [True, True, True, 0]],
+    ],
+    ('beacon-ran', 'random-partial', 'send-omission', 12, 12, 'worst'): [
+        [4186043285963806579, 4, 3, 0, 1, [True, True, True, 1]],
+        [8464500877667876948, 3, 2, 0, 0, [True, True, True, 0]],
     ],
     ('beacon-ran', 'random', 'receive-omission', 24, 24, 'half'): [
         [483613926541566513, 3, 2, 0, 1, [True, True, True, 1]],
         [1245393412964534513, 3, 2, 0, 0, [True, True, True, 0]],
     ],
+    ('beacon-ran', 'random-partial', 'receive-omission', 24, 24, 'half'): [
+        [165626920718646031, 3, 2, 0, 1, [True, True, True, 1]],
+        [5127316690974844280, 3, 2, 0, 0, [True, True, True, 0]],
+    ],
     ('beacon-ran', 'random', 'late', 5, 5, 'random'): [
-        [8464310187698971465, 9, 8, 5, None, [True, True, True, None]],
-        [6979215577516222219, 4, 3, 2, 0, [True, True, True, 0]],
+        [8464310187698971465, 10, 9, 5, None, [True, True, True, None]],
+        [6979215577516222219, 7, 6, 2, 0, [True, True, True, 0]],
+    ],
+    ('beacon-ran', 'random-partial', 'late', 5, 5, 'random'): [
+        [7088156272568334533, 3, 2, 0, 0, [True, True, True, 0]],
+        [8998594199779171406, 12, 11, 3, 0, [True, True, True, 0]],
     ],
     ('beacon-ran', 'tally-split-only', 'crash', 12, 6, 'worst'): [
         [471575983705814481, 3, 2, 0, 0, [True, True, True, 0]],
@@ -226,17 +280,25 @@ GOLDENS = {
         [8223387075326636472, 4, 1, 1, 1, [True, True, True, 1]],
         [5871823842353393106, 6, 3, 1, 1, [True, True, True, 1]],
     ],
+    ('benor', 'random-partial', 'crash', 5, 1, 'worst'): [
+        [7082580890721077741, 4, 1, 1, 1, [True, True, True, 1]],
+        [3837418462921475115, 4, 1, 0, 1, [True, True, True, 1]],
+    ],
     ('benor', 'random', 'send-omission', 12, 5, 'half'): [
         [3393484018667598423, 8, 5, 0, 1, [True, True, True, 1]],
-        [4527624044331796958, 6, 3, 0, 0, [True, True, True, 0]],
+        [4527624044331796958, 8, 5, 0, 0, [True, True, True, 0]],
     ],
-    ('benor', 'random', 'receive-omission', 5, 2, 'random'): [
-        [385602100018425386, 4, 1, 0, 1, [True, True, True, 1]],
-        [5385366367627839010, 4, 1, 0, 1, [True, True, True, 1]],
+    ('benor', 'random-partial', 'send-omission', 12, 5, 'half'): [
+        [7880158800862868954, 8, 5, 0, 0, [True, True, True, 0]],
+        [1410940860238671982, 6, 3, 0, 1, [True, True, True, 1]],
     ],
     ('benor', 'random', 'late', 5, 2, 'worst'): [
         [2104085821023719590, 18, 15, 2, 1, [True, True, True, 1]],
-        [481184351398826173, 6, 3, 1, 1, [True, True, True, 1]],
+        [481184351398826173, 8, 5, 1, 0, [True, True, True, 0]],
+    ],
+    ('benor', 'random-partial', 'late', 5, 2, 'worst'): [
+        [2513174197980237014, 4, 1, 1, 1, [True, True, True, 1]],
+        [6189777721232953386, 4, 1, 1, 1, [True, True, True, 1]],
     ],
     ('benor', 'tally-split-only', 'crash', 12, 3, 'half'): [
         [931839889387049912, 8, 5, 0, 1, [True, True, True, 1]],
@@ -283,20 +345,36 @@ GOLDENS = {
         [2182152091904503617, 6, 3, 3, 0, [True, True, True, 0]],
     ],
     ('floodset', 'random', 'crash', 5, 2, 'half'): [
-        [7510470252485696479, 3, 2, 2, 0, [True, True, True, 0]],
+        [7510470252485696479, 3, 2, 1, 0, [True, True, True, 0]],
         [2632645171023752526, 3, 2, 1, 0, [True, True, True, 0]],
+    ],
+    ('floodset', 'random-partial', 'crash', 5, 2, 'half'): [
+        [266292268066655295, 3, 2, 1, 0, [True, True, True, 0]],
+        [3567642456728184545, 3, 2, 2, 0, [True, True, True, 0]],
     ],
     ('floodset', 'random', 'send-omission', 12, 12, 'random'): [
         [6409573256596453166, 13, 12, 0, 0, [True, True, True, 0]],
         [8771502490422333598, 13, 12, 0, 0, [True, True, True, 0]],
     ],
+    ('floodset', 'random-partial', 'send-omission', 12, 12, 'random'): [
+        [4215385740240744802, 13, 12, 0, 0, [True, True, True, 0]],
+        [878934030749117635, 13, 12, 0, 0, [True, True, True, 0]],
+    ],
     ('floodset', 'random', 'receive-omission', 24, 24, 'worst'): [
         [8837082136971434100, 25, 24, 0, 0, [True, True, True, 0]],
         [6566079433318936203, 25, 24, 0, 0, [True, True, True, 0]],
     ],
+    ('floodset', 'random-partial', 'receive-omission', 24, 24, 'worst'): [
+        [4151134453558284907, 25, 24, 0, 0, [True, True, True, 0]],
+        [6792268843685180138, 25, 24, 0, 0, [True, True, True, 0]],
+    ],
     ('floodset', 'random', 'late', 5, 5, 'half'): [
-        [6316873723229682485, 6, 5, 3, 0, [True, True, True, 0]],
-        [7453707310522676642, 6, 5, 3, 0, [True, True, True, 0]],
+        [6316873723229682485, 6, 5, 4, 0, [True, True, True, 0]],
+        [7453707310522676642, 6, 5, 4, 0, [True, True, True, 0]],
+    ],
+    ('floodset', 'random-partial', 'late', 5, 5, 'half'): [
+        [3037144229852419192, 6, 5, 1, 0, [True, True, True, 0]],
+        [5924227921576726254, 6, 5, 2, 0, [True, True, True, 0]],
     ],
     ('floodset', 'tally-split-only', 'crash', 12, 6, 'random'): [
         [971454821805689966, 7, 6, 0, 0, [True, True, True, 0]],
@@ -348,19 +426,35 @@ GOLDENS = {
     ],
     ('gp-hybrid', 'random', 'crash', 5, 2, 'random'): [
         [5665715052293994871, 4, 3, 1, 0, [True, True, True, 0]],
-        [3862955205488261543, 6, 5, 2, 0, [True, True, True, 0]],
+        [3862955205488261543, 7, 6, 2, 0, [True, True, True, 0]],
+    ],
+    ('gp-hybrid', 'random-partial', 'crash', 5, 2, 'random'): [
+        [652120507504791400, 3, 2, 0, 0, [True, True, True, 0]],
+        [2359524290979275522, 2, 1, 0, 1, [True, True, True, 1]],
     ],
     ('gp-hybrid', 'random', 'send-omission', 12, 12, 'worst'): [
         [1294538432417880172, 3, 2, 0, 0, [True, True, True, 0]],
         [435531984090016751, 7, 6, 0, 1, [True, True, True, 1]],
     ],
+    ('gp-hybrid', 'random-partial', 'send-omission', 12, 12, 'worst'): [
+        [7136775906005371693, 21, 20, 0, 1, [True, True, True, 1]],
+        [8901833062025951759, 4, 3, 0, 0, [True, True, True, 0]],
+    ],
     ('gp-hybrid', 'random', 'receive-omission', 24, 24, 'half'): [
         [8600449773770127839, 3, 2, 0, 0, [True, True, True, 0]],
-        [7191665438436218495, 6, 5, 0, 0, [True, True, True, 0]],
+        [7191665438436218495, 2, 1, 0, 0, [True, True, True, 0]],
+    ],
+    ('gp-hybrid', 'random-partial', 'receive-omission', 24, 24, 'half'): [
+        [459282133675551985, 3, 2, 0, 0, [True, True, True, 0]],
+        [2626326379766112968, 3, 2, 0, 0, [True, True, True, 0]],
     ],
     ('gp-hybrid', 'random', 'late', 5, 5, 'random'): [
-        [8522168252266990083, 7, 6, 2, 1, [True, True, True, 1]],
+        [8522168252266990083, 13, 12, 5, None, [True, True, True, None]],
         [4608619553991541711, 6, 5, 3, 0, [True, True, True, 0]],
+    ],
+    ('gp-hybrid', 'random-partial', 'late', 5, 5, 'random'): [
+        [2297539014185110577, 14, 13, 4, 0, [True, True, True, 0]],
+        [7848186810239959757, 3, 2, 0, 0, [True, True, True, 0]],
     ],
     ('gp-hybrid', 'tally-split-only', 'crash', 12, 6, 'worst'): [
         [49874295635995681, 3, 2, 0, 0, [True, True, True, 0]],
@@ -415,10 +509,16 @@ GOLDENS = {
 # (protocol, adversary, fault model, n, t, inputs) -> error message
 ERRORS = {
     ('beacon-ran', 'anti-beacon', 'send-omission', 24, 24, 'worst'): "probabilistic-stage process 15 received 'DET' message in round 7",
-    ('beacon-ran', 'random', 'send-omission', 12, 12, 'random'): "probabilistic-stage process 1 received 'DET' message in round 4",
+    ('beacon-ran', 'random-partial', 'send-omission', 12, 6, 'random'): "probabilistic-stage process 4 received 'DET' message in round 6",
     ('symmetric-ran', 'anti-beacon', 'send-omission', 24, 24, 'worst'): "probabilistic-stage process 0 received 'DET' message in round 42",
-    ('symmetric-ran', 'random', 'send-omission', 48, 24, 'half'): "probabilistic-stage process 47 received 'DET' message in round 6",
-    ('synran', 'random', 'send-omission', 48, 48, 'worst'): "probabilistic-stage process 44 received 'DET' message in round 7",
+    ('symmetric-ran', 'random-partial', 'send-omission', 48, 48, 'half'): "probabilistic-stage process 32 received 'DET' message in round 9",
+    ('synran', 'random-partial', 'send-omission', 5, 2, 'random'): "probabilistic-stage process 4 received 'DET' message in round 4",
+}
+
+# (protocol, adversary, fault model, n, t, inputs) -> budget overrun
+BUDGET_ERRORS = {
+    ('benor', 'random', 'receive-omission', 5, 2, 'random'): "adversary used 4 crashes, budget is 2",
+    ('benor', 'random-partial', 'receive-omission', 5, 2, 'random'): "adversary used 4 crashes, budget is 2",
 }
 
 
@@ -468,9 +568,17 @@ def test_protocol_violations_match_goldens(config):
             run_spec_trial(spec, i, BASE_SEED)
 
 
+@pytest.mark.parametrize("config", sorted(BUDGET_ERRORS), ids=lambda c: "-".join(map(str, c)))
+def test_budget_overruns_match_goldens(config):
+    spec = _spec(*config)
+    with pytest.raises(BudgetExceededError, match=re.escape(BUDGET_ERRORS[config])):
+        run_spec_trial(spec, 0, BASE_SEED)
+
+
 def test_goldens_cover_every_protocol_adversary_and_model():
-    covered = {(p, a, m) for p, a, m, *_ in GOLDENS}
-    assert len(covered) == len(GOLDENS) == 95
+    pinned = list(GOLDENS) + list(BUDGET_ERRORS)
+    covered = {(p, a, m) for p, a, m, *_ in pinned}
+    assert len(covered) == len(pinned) == 119
     assert {m for _, _, m in covered} == {
         "crash", "send-omission", "receive-omission", "late",
     }

@@ -29,7 +29,7 @@ from repro.harness.exec import (
     TrialSpec,
     make_executor,
 )
-from repro.harness.resilience import Fault, FaultPlan, RetryPolicy
+from repro.harness.resilience import CHAOS_ENV, Fault, FaultPlan, RetryPolicy
 from repro.harness.runner import TrialStats
 from repro.service import (
     JobManager,
@@ -434,3 +434,65 @@ class TestServeConfig:
         client.wait(receipt.job_id, timeout=60)
         app.close()
         thread.stop()
+
+
+class TestSubmitReportsQuarantine:
+    """``repro submit`` names every quarantined chunk and exits 1, and
+    the server refuses names its tables cannot build (exit 2)."""
+
+    @pytest.fixture
+    def server_url(self, tmp_path):
+        app = SweepServerApp(
+            ServerConfig(cache_dir=str(tmp_path / "cache"), retries=0)
+        )
+        thread = ServerThread(app.app)
+        thread.start()
+        yield thread.url
+        app.close()
+        thread.stop()
+
+    def _submit(self, url, *flags):
+        from repro.cli import main
+
+        return main(["submit", "--server", url, "--timeout", "60", *flags])
+
+    def test_every_trial_quarantined(self, server_url, capsys):
+        code = self._submit(
+            server_url, "--ns", "32", "--adversaries", "tally-attack",
+            "--fault-model", "receive-omission", "--trials", "2",
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "job failed" not in err
+        assert err.startswith("error: synran/tally-attack/n32: trial(s) ")
+        assert "(exception): BudgetExceededError" in err
+        assert "synran/tally-attack/n32" in out
+
+    def test_one_chunk_quarantined(
+        self, server_url, capsys, tmp_path, monkeypatch
+    ):
+        plan_path = tmp_path / "plan.json"
+        FaultPlan((Fault("raise", 0, times=5),)).dump(str(plan_path))
+        monkeypatch.setenv(CHAOS_ENV, str(plan_path))
+        code = self._submit(
+            server_url, "--ns", "16", "--adversaries", "benign",
+            "--trials", "8",
+        )
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("error: synran/benign/n16: trial(s) 0")
+        assert "quarantined after 1 attempt(s) (exception): ChaosError" in (
+            lines[0]
+        )
+
+    def test_engine_without_factory_is_refused(self, server_url, capsys):
+        code = self._submit(
+            server_url, "--engine", "batch",
+            "--adversaries", "random-partial",
+        )
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert "submission rejected (400)" in err
+        assert "it runs on: reference" in err
