@@ -3,10 +3,10 @@
 Each row names one attack and holds one factory per engine that
 implements it, keyed by ``TrialSpec.engine`` values.  A name means the
 same attack on every engine that has it: a counts-level factory fills
-``batch`` and, lifted through :class:`~repro.sim.batch2d.Batch2DCounts`
-(bit-identical trajectories), ``batch2d``; a mask factory fills
-``batch2d`` alone.  An engine with no factory for a name rejects it,
-naming the engines that have one.
+both ``batch`` and ``batch2d`` (the harness runs counts decisions on
+the counts engine whichever vectorized kind a spec names); a mask
+factory fills ``batch2d`` alone.  An engine with no factory for a name
+rejects it, naming the engines that have one.
 
 Every factory takes ``(n, t, protocol, params)``: ``protocol`` is a
 fresh instance of the protocol under attack (the exact-play adversary
@@ -41,7 +41,7 @@ from repro.adversary.oblivious import (
 )
 from repro.adversary.random_crash import RandomCrashAdversary
 from repro.adversary.static import StaticAdversary
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, reject_unknown_params
 from repro.sim.batch import (
     BatchBenign,
     BatchOblivious,
@@ -49,7 +49,7 @@ from repro.sim.batch import (
     BatchTallyAttack,
     BatchValencyKeeper,
 )
-from repro.sim.batch2d import Batch2DCounts, Batch2DPartition
+from repro.sim.batch2d import Batch2DPartition
 
 __all__ = [
     "adversary_factory",
@@ -73,10 +73,7 @@ def _engines(
     if reference is not None:
         row["reference"] = reference
     if counts is not None:
-        row["batch"] = counts
-        row["batch2d"] = lambda n, t, proto, p: Batch2DCounts(
-            counts(n, t, proto, p)
-        )
+        row["batch"] = row["batch2d"] = counts
     if mask is not None:
         row["batch2d"] = mask
     return row
@@ -188,6 +185,21 @@ _FACTORIES: Dict[str, Dict[str, AdversaryFactory]] = {
     ),
 }
 
+#: Parameters of the names whose factories read a fixed set of keys
+#: (or none); any other key is rejected.  The other factories pass
+#: their parameters to a constructor, which checks its keywords.
+_KNOWN_PARAMS: Dict[str, frozenset] = {
+    "benign": frozenset(),
+    "anti-beacon": frozenset(),
+    "static": frozenset(),
+    "oblivious-calibrated": frozenset(),
+    "oblivious-uniform": frozenset(),
+    "oblivious-burst": frozenset(),
+    "benor-quorum": frozenset({"decide_threshold"}),
+    "static-mass-crash": frozenset({"round"}),
+    "oblivious-drip": frozenset({"per_round"}),
+}
+
 
 def available_adversaries(engine: Optional[str] = "reference") -> List[str]:
     """Sorted names with a factory for ``engine`` (every name for
@@ -200,13 +212,16 @@ def available_adversaries(engine: Optional[str] = "reference") -> List[str]:
 
 
 def adversary_factory(
-    name: str, engine: str = "reference"
+    name: str,
+    engine: str = "reference",
+    params: Optional[Mapping[str, object]] = None,
 ) -> AdversaryFactory:
     """The factory ``engine`` builds ``name`` with; builds nothing.
 
     Raises:
-        ConfigurationError: unknown name, or no factory for ``engine``
-            (the message names the engines that have one).
+        ConfigurationError: unknown name, no factory for ``engine``
+            (the message names the engines that have one), or a key of
+            ``params`` the name does not read.
     """
     try:
         row = _FACTORIES[name]
@@ -216,12 +231,15 @@ def adversary_factory(
             f"{', '.join(available_adversaries(None))}"
         ) from None
     try:
-        return row[engine]
+        factory = row[engine]
     except KeyError:
         raise ConfigurationError(
             f"adversary {name!r} has no {engine}-engine implementation; "
             f"it runs on: {', '.join(sorted(row))}"
         ) from None
+    if params and name in _KNOWN_PARAMS:
+        reject_unknown_params("adversary", name, params, _KNOWN_PARAMS[name])
+    return factory
 
 
 def make_adversary(
@@ -239,7 +257,8 @@ def make_adversary(
     Raises:
         ConfigurationError: see :func:`adversary_factory`.
     """
-    return adversary_factory(name, engine)(n, t, protocol, dict(params or {}))
+    p = dict(params or {})
+    return adversary_factory(name, engine, p)(n, t, protocol, p)
 
 
 def register_adversary(

@@ -7,6 +7,8 @@ still letting programming errors (``TypeError`` and friends) propagate.
 
 from __future__ import annotations
 
+from typing import Collection
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -19,6 +21,20 @@ class ConfigurationError(ReproError):
     than the process count when the model forbids it, or an unknown
     protocol name passed to the registry.
     """
+
+
+def reject_unknown_params(
+    kind: str, name: str, params: Collection[str], known: Collection[str]
+) -> None:
+    """Raise :class:`ConfigurationError` when ``params`` holds a key
+    outside ``known``: a parameter the factory of ``name`` never reads
+    would change a spec's hash, and so its seeds, but not its run."""
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"{kind} {name!r} does not accept parameter(s) {unknown}; "
+            f"known: {sorted(known)}"
+        )
 
 
 class BudgetExceededError(ReproError):

@@ -33,9 +33,8 @@ class CrashFaultModel(FaultModel):
     per victim, exactly ``t`` over the execution.
 
     Type discipline: :meth:`normalize` is the only method that checks
-    decision shapes; :meth:`delivers` and :meth:`withheld` stay
-    branch-lean.  :meth:`withheld` is one set difference per victim
-    instead of a :meth:`delivers` call per (victim, receiver) pair.
+    decision shapes; :meth:`withheld` stays branch-lean, one set
+    difference per victim.
     """
 
     name = "crash"
@@ -63,14 +62,6 @@ class CrashFaultModel(FaultModel):
 
     def crash_victims(self, decision: FaultDecision) -> FrozenSet[int]:
         return decision.victims
-
-    def delivers(
-        self, decision: FaultDecision, sender: int, recipient: int
-    ) -> bool:
-        allowed = decision.deliveries.get(sender)
-        if allowed is None:
-            return True
-        return recipient in allowed
 
     def withheld(
         self,

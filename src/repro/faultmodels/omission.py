@@ -155,11 +155,6 @@ class SendOmissionFaultModel(FaultModel):
     def crash_victims(self, decision: FaultDecision) -> FrozenSet[int]:
         return frozenset()
 
-    def delivers(
-        self, decision: FaultDecision, sender: int, recipient: int
-    ) -> bool:
-        return not decision.drops(sender, recipient)
-
     def withheld(
         self,
         decision: FaultDecision,
@@ -235,11 +230,6 @@ class ReceiveOmissionFaultModel(FaultModel):
 
     def crash_victims(self, decision: FaultDecision) -> FrozenSet[int]:
         return frozenset()
-
-    def delivers(
-        self, decision: FaultDecision, sender: int, recipient: int
-    ) -> bool:
-        return not decision.drops(sender, recipient)
 
     def withheld(
         self,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, reject_unknown_params
 from repro.faultmodels.crash import CrashFaultModel
 from repro.faultmodels.late import LateFaultModel
 from repro.faultmodels.omission import (
@@ -66,14 +66,8 @@ def make_fault_model(
             f"{', '.join(available_fault_models())}"
         ) from None
     p = dict(params or {})
-    known = _KNOWN_PARAMS.get(name)
-    if known is not None:
-        unknown = set(p) - known
-        if unknown:
-            raise ConfigurationError(
-                f"fault model {name!r} does not accept parameter(s) "
-                f"{sorted(unknown)}; known: {sorted(known)}"
-            )
+    if name in _KNOWN_PARAMS:
+        reject_unknown_params("fault model", name, p, _KNOWN_PARAMS[name])
     return factory(p)
 
 

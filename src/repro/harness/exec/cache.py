@@ -25,12 +25,7 @@ the same attestation digest workers compute in the service tier) —
 and loads recompute and compare it, so an entry whose outcome bytes
 were altered after the fact (a Byzantine worker's checkpoint, bit
 rot, a hand-edited file) reads as a miss instead of poisoning every
-future cache hit.  v2 batch documents written by the previous schema
-upgrade transparently: a load that validates an old document computes
-its digest and rewrites it in place as v3, so a shared cache survives
-the bump without recomputing anything.  (v2 *chunk* documents are
-treated as misses — the ledger is transient scratch state and the
-chunk is simply recomputed.)
+future cache hit.
 
 Loads are defensive — any malformed, truncated, or mismatched
 document (batch or chunk) is treated as a miss, never an error.
@@ -80,10 +75,6 @@ __all__ = ["CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR", "ResultCache", "cache_sa
 #: v3: tamper-evident outcome digests on batch and chunk documents.
 CACHE_SCHEMA_VERSION = 3
 
-#: The previous schema, whose batch documents upgrade transparently on
-#: load (validated, digested, rewritten as the current schema).
-_UPGRADABLE_SCHEMA_VERSION = 2
-
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 
 _CHUNK_DOC_RE = re.compile(r"^chunk-(\d{8})-(\d{8})\.json$")
@@ -94,9 +85,9 @@ _CHUNK_DOC_RE = re.compile(r"^chunk-(\d{8})-(\d{8})\.json$")
 _CORRUPT_DOC = (KeyError, TypeError, ValueError, ConfigurationError)
 
 
-def cache_salt(schema: int = CACHE_SCHEMA_VERSION) -> str:
+def cache_salt() -> str:
     """The code-version salt stamped into (and required of) every entry."""
-    return f"{repro.__version__}/schema{schema}"
+    return f"{repro.__version__}/schema{CACHE_SCHEMA_VERSION}"
 
 
 class ResultCache:
@@ -162,13 +153,8 @@ class ResultCache:
         A hit requires the schema version, salt, batch key, spec
         fields, trial count, base seed, and outcome digest all to
         match, and every outcome record to parse; anything else —
-        including a corrupt, tampered, or unreadable file — is a miss.
-
-        A valid document of the previous schema (v2, pre-digest) is
-        accepted and upgraded in place: its digest is computed from
-        the validated outcomes and the document is atomically
-        rewritten as the current schema, so an existing shared cache
-        survives the schema bump without recomputation.
+        including a corrupt, tampered, or unreadable file, or one
+        written under another schema or package version — is a miss.
         """
         path = self.path_for(batch)
         try:
@@ -177,14 +163,9 @@ class ResultCache:
         except (OSError, ValueError):
             return None
         try:
-            schema = doc["schema"]
-            if schema == CACHE_SCHEMA_VERSION:
-                if doc["salt"] != cache_salt():
-                    return None
-            elif schema == _UPGRADABLE_SCHEMA_VERSION:
-                if doc["salt"] != cache_salt(_UPGRADABLE_SCHEMA_VERSION):
-                    return None
-            else:
+            if doc["schema"] != CACHE_SCHEMA_VERSION:
+                return None
+            if doc["salt"] != cache_salt():
                 return None
             if doc["batch_key"] != batch.batch_key():
                 return None
@@ -201,33 +182,9 @@ class ResultCache:
         outcomes.sort(key=lambda o: o.trial_index)
         if [o.trial_index for o in outcomes] != list(range(batch.trials)):
             return None
-        digest = outcomes_digest(outcomes)
-        if schema == CACHE_SCHEMA_VERSION:
-            if doc.get("digest") != digest:
-                return None  # tampered or bit-rotted: recompute
-        else:
-            self._upgrade_doc(path, doc, digest)
+        if doc.get("digest") != outcomes_digest(outcomes):
+            return None  # tampered or bit-rotted: recompute
         return outcomes
-
-    def _upgrade_doc(
-        self, path: Path, doc: Dict[str, Any], digest: str
-    ) -> None:
-        """Rewrite a validated legacy document as the current schema.
-
-        Best effort and lock-free: the write is a single atomic rename
-        (a concurrent writer would produce identical bytes), and a
-        read-only cache simply keeps serving the legacy document — the
-        upgrade is an opportunity, not a requirement, so failures are
-        swallowed rather than degrading the cache.
-        """
-        upgraded = dict(doc)
-        upgraded["schema"] = CACHE_SCHEMA_VERSION
-        upgraded["salt"] = cache_salt()
-        upgraded["digest"] = digest
-        try:
-            self._write_doc(path, upgraded)
-        except OSError:
-            pass
 
     def store(
         self, batch: TrialBatch, outcomes: List[TrialOutcome]

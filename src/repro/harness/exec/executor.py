@@ -475,6 +475,7 @@ class Executor:
             self.run_outcomes(batch),
             engine_kind=batch.spec.engine,
             expected_trials=batch.trials,
+            n=batch.spec.n,
         )
 
     def run_plan(self, plan: ExecutionPlan) -> List["TrialStats"]:

@@ -30,8 +30,8 @@ from repro.harness.exec.builders import (
     build_protocol,
 )
 from repro.harness.exec.spec import ENGINE_BATCH, ENGINE_BATCH2D, TrialSpec
-from repro.sim.batch import BatchFastEngine, BatchResult
-from repro.sim.batch2d import Batch2DEngine
+from repro.sim.batch import BatchFastAdversary, BatchFastEngine, BatchResult
+from repro.sim.batch2d import Batch2DAdversary, Batch2DEngine
 from repro.sim.checks import verify_execution
 from repro.sim.engine import Engine
 from repro.sim.model import Verdict
@@ -45,6 +45,7 @@ __all__ = [
     "outcomes_digest",
     "run_spec_batch",
     "run_spec_trial",
+    "vectorized_kind",
 ]
 
 #: Input kinds whose vectors depend on the trial's input stream.  The
@@ -57,13 +58,35 @@ _SAMPLED_INPUT_KINDS = frozenset({"random"})
 #: (kept from the factory-based drivers so both seed the same way).
 _INPUT_STREAM_MASK = 0x5EED
 
-#: Engine kind -> vectorized engine class, keyed by ``TrialSpec.engine``
-#: values.  Both constructors share the ``(protocol, adversary, n, *,
-#: max_rounds, strict_termination, fault_model)`` contract.
+#: Vectorized engine kind -> engine class.  Both constructors share the
+#: ``(protocol, adversary, n, *, max_rounds, strict_termination,
+#: fault_model)`` contract; :func:`vectorized_kind` picks the kind.
 BATCH_ENGINES: Dict[str, type] = {
     ENGINE_BATCH: BatchFastEngine,
     ENGINE_BATCH2D: Batch2DEngine,
 }
+
+
+def vectorized_kind(adversary: object) -> str:
+    """The vectorized engine kind that runs ``adversary``.
+
+    The decision form picks the engine, whatever kind a spec names:
+    counts decisions (:class:`~repro.sim.batch.BatchFastAdversary`)
+    leave every receiver with the same tallies and run on ``batch``;
+    mask decisions (:class:`~repro.sim.batch2d.Batch2DAdversary`) need
+    per-process state and run on ``batch2d``.
+
+    Raises:
+        ConfigurationError: ``adversary`` is neither.
+    """
+    if isinstance(adversary, BatchFastAdversary):
+        return ENGINE_BATCH
+    if isinstance(adversary, Batch2DAdversary):
+        return ENGINE_BATCH2D
+    raise ConfigurationError(
+        "a vectorized engine needs a BatchFastAdversary or "
+        f"Batch2DAdversary, got {type(adversary).__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -256,18 +279,17 @@ def run_spec_batch(
     """Execute a slice of a vectorized spec's trials at once.
 
     The batch counterpart of :func:`run_spec_trial`: one call advances
-    every listed trial in lockstep through the engine class the spec's
-    kind selects from :data:`BATCH_ENGINES`
-    (:class:`~repro.sim.batch.BatchFastEngine` for ``engine="batch"``,
-    :class:`~repro.sim.batch2d.Batch2DEngine` for ``engine="batch2d"``).
-    Per-trial seeds are the same ``(base_seed, spec_hash, trial_index)``
-    hashes as everywhere else and each trial's randomness is a pure
-    function of its own seed, so outcomes are byte-identical however
-    the indices are chunked across calls or workers — the executor
-    contract the serial and process-pool paths already rely on.
+    every listed trial in lockstep through the engine that realises the
+    adversary's decision form (:func:`vectorized_kind`), so a counts
+    attack on an ``engine="batch2d"`` spec runs on
+    :class:`~repro.sim.batch.BatchFastEngine`.  Per-trial seeds are the
+    same ``(base_seed, spec_hash, trial_index)`` hashes as everywhere
+    else and each trial's randomness is a pure function of its own
+    seed, so outcomes are byte-identical however the indices are
+    chunked across calls or workers — the executor contract the serial
+    and process-pool paths already rely on.
     """
-    engine_cls = BATCH_ENGINES.get(spec.engine)
-    if engine_cls is None:
+    if spec.engine not in BATCH_ENGINES:
         raise ConfigurationError(
             f"spec engine is {spec.engine!r}; run_spec_batch requires "
             f"one of the vectorized kinds {sorted(BATCH_ENGINES)}"
@@ -289,9 +311,11 @@ def run_spec_batch(
         ]
     else:
         inputs = build_inputs(spec, random.Random(0))
-    engine = engine_cls(
-        build_protocol(spec),
-        build_batch_adversary(spec),
+    protocol = build_protocol(spec)
+    adversary = build_batch_adversary(spec)
+    engine = BATCH_ENGINES[vectorized_kind(adversary)](
+        protocol,
+        adversary,
         spec.n,
         max_rounds=spec.max_rounds,
         strict_termination=spec.strict_termination,

@@ -33,8 +33,6 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from repro.analysis.stats import Summary, summarize
 from repro.errors import ConfigurationError
 from repro.harness.exec.spec import (
-    ENGINE_BATCH,
-    ENGINE_BATCH2D,
     ENGINE_KINDS,
     ENGINE_REFERENCE,
     FACTORY_SCOPE,
@@ -45,9 +43,8 @@ from repro.harness.exec.trial import (
     TrialOutcome,
     batch_outcomes,
     execute_reference_trial,
+    vectorized_kind,
 )
-from repro.sim.batch import BatchFastAdversary
-from repro.sim.batch2d import Batch2DAdversary
 from repro.sim.model import Verdict
 
 __all__ = ["TrialStats", "run_reference_trials", "run_fast_trials"]
@@ -76,6 +73,9 @@ class TrialStats:
             produced — quarantined chunks under the fail-stop-tolerant
             executor.  Nonzero fails :meth:`structural_ok`, so a batch
             with holes can never read as a clean pass.
+        n: The batch's process count, when known.  A trial that
+            charged all ``n`` processes as faulty leaves no correct
+            process, so :meth:`structural_ok` asks it for no decision.
     """
 
     decision_rounds: List[int] = field(default_factory=list)
@@ -85,6 +85,7 @@ class TrialStats:
     timeouts: int = 0
     engine_kind: str = ENGINE_REFERENCE
     missing_trials: int = 0
+    n: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.engine_kind not in ENGINE_KINDS:
@@ -100,13 +101,15 @@ class TrialStats:
         *,
         engine_kind: str,
         expected_trials: Optional[int] = None,
+        n: Optional[int] = None,
     ) -> "TrialStats":
         """Aggregate per-trial outcomes (in trial-index order).
 
         ``expected_trials`` (when known — executors pass the batch's
-        trial count) records any shortfall in ``missing_trials``.
+        trial count) records any shortfall in ``missing_trials``;
+        ``n`` is the batch's process count.
         """
-        stats = cls(engine_kind=engine_kind)
+        stats = cls(engine_kind=engine_kind, n=n)
         count = 0
         for outcome in sorted(outcomes, key=lambda o: o.trial_index):
             stats.append(outcome)
@@ -151,11 +154,20 @@ class TrialStats:
         return sum(1 for v in self.verdicts if not v.ok)
 
     def structural_ok(self) -> bool:
-        """Engine-agnostic sanity: complete, no timeouts, all decided."""
+        """Engine-agnostic sanity: complete, no timeouts, all decided.
+
+        A trial without a common decision passes only when it charged
+        all ``n`` processes as faulty: Agreement and Termination bind
+        non-faulty processes (§3.1), and none is left.  Survivors that
+        disagree still fail.
+        """
         return (
             self.missing_trials == 0
             and self.timeouts == 0
-            and all(d is not None for d in self.decisions)
+            and all(
+                d is not None or (self.n is not None and c >= self.n)
+                for d, c in zip(self.decisions, self.crashes)
+            )
         )
 
     def _require_checked(self, method: str) -> None:
@@ -204,7 +216,9 @@ def run_reference_trials(
                 strict_termination=strict_termination,
             )
         )
-    return TrialStats.from_outcomes(outcomes, engine_kind=ENGINE_REFERENCE)
+    return TrialStats.from_outcomes(
+        outcomes, engine_kind=ENGINE_REFERENCE, n=n
+    )
 
 
 def run_fast_trials(
@@ -230,15 +244,7 @@ def run_fast_trials(
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     adversary = adversary_factory()
-    if isinstance(adversary, BatchFastAdversary):
-        engine_kind = ENGINE_BATCH
-    elif isinstance(adversary, Batch2DAdversary):
-        engine_kind = ENGINE_BATCH2D
-    else:
-        raise ConfigurationError(
-            "run_fast_trials needs a BatchFastAdversary or "
-            f"Batch2DAdversary factory, got {type(adversary).__name__}"
-        )
+    engine_kind = vectorized_kind(adversary)
     seeds = [
         derive_trial_seed(base_seed, FACTORY_SCOPE, index)
         for index in range(trials)
@@ -257,4 +263,4 @@ def run_fast_trials(
     outcomes = batch_outcomes(
         engine.run(inputs, seeds), range(trials), seeds
     )
-    return TrialStats.from_outcomes(outcomes, engine_kind=engine_kind)
+    return TrialStats.from_outcomes(outcomes, engine_kind=engine_kind, n=n)

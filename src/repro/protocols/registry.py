@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, reject_unknown_params
 from repro.protocols.base import ConsensusProtocol
 from repro.protocols.beacon import BeaconRanProtocol
 from repro.protocols.benor import BenOrProtocol
@@ -39,26 +39,39 @@ _FACTORIES: Dict[str, ProtocolFactory] = {
     "beacon-ran": lambda n, t, p: BeaconRanProtocol(**p),
 }
 
+#: Parameters of the names whose factories read a fixed set of keys
+#: (here: none); any other key is rejected.  The other factories pass
+#: their parameters to a constructor, which checks its keywords.
+_KNOWN_PARAMS: Dict[str, frozenset] = {
+    "floodset": frozenset(),
+}
+
 
 def available_protocols() -> List[str]:
     """Sorted names accepted by :func:`make_protocol`."""
     return sorted(_FACTORIES)
 
 
-def protocol_factory(name: str) -> ProtocolFactory:
+def protocol_factory(
+    name: str, params: Optional[Mapping[str, object]] = None
+) -> ProtocolFactory:
     """The factory :func:`make_protocol` builds ``name`` with; builds
     nothing.
 
     Raises:
-        ConfigurationError: unknown name.
+        ConfigurationError: unknown name, or a key of ``params`` the
+            name does not read.
     """
     try:
-        return _FACTORIES[name]
+        factory = _FACTORIES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown protocol {name!r}; available: "
             f"{', '.join(available_protocols())}"
         ) from None
+    if params and name in _KNOWN_PARAMS:
+        reject_unknown_params("protocol", name, params, _KNOWN_PARAMS[name])
+    return factory
 
 
 def make_protocol(
@@ -71,10 +84,11 @@ def make_protocol(
     configured by ``params``.
 
     Raises:
-        ConfigurationError: unknown name, or a ``t`` the protocol
-            cannot be configured for.
+        ConfigurationError: see :func:`protocol_factory`; or a ``t``
+            the protocol cannot be configured for.
     """
-    protocol = protocol_factory(name)(n, t, dict(params or {}))
+    p = dict(params or {})
+    protocol = protocol_factory(name, p)(n, t, p)
     if protocol.requires_majority and t * 2 >= n and n > 1:
         raise ConfigurationError(
             f"protocol {name!r} requires t < n/2; got n={n}, t={t}"

@@ -480,6 +480,7 @@ class JobManager:
                         outcomes,
                         engine_kind=batch.spec.engine,
                         expected_trials=batch.trials,
+                        n=batch.spec.n,
                     )
                     job.note_batch(batch, stats, outcomes)
                     if self._journal is not None:

@@ -14,7 +14,7 @@ Endpoints:
 * ``POST /jobs`` — body ``{"plan": <wire plan>, "label": str?}``;
   responds ``202 {"job_id": ..., "coalesced": bool, "state": ...}``,
   or 400 when a batch names a protocol or adversary its tables (or its
-  engine) do not have.
+  engine) do not have, or a parameter its factory does not read.
 * ``GET /jobs`` — every known job's status document.
 * ``GET /jobs/<id>`` — one job's status (progress, and results +
   cache/resilience accounting once settled).
@@ -193,11 +193,13 @@ class SweepServerApp:
             raise HttpError(400, "submission must be a JSON object")
         try:
             plan = plan_from_wire(doc.get("plan"))
-            # Name lookups only: a batch its engine cannot build is
+            # Table lookups only: a batch its engine cannot build is
             # refused here instead of failing every chunk later.
-            for batch in plan:
-                protocol_factory(batch.spec.protocol)
-                adversary_factory(batch.spec.adversary, batch.spec.engine)
+            for spec in (batch.spec for batch in plan):
+                protocol_factory(spec.protocol, dict(spec.protocol_params))
+                adversary_factory(
+                    spec.adversary, spec.engine, dict(spec.adversary_params)
+                )
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
         label = str(doc.get("label", ""))

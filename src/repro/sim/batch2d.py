@@ -11,37 +11,32 @@ flood set, decision) is an ``(M, n)`` array, victim selection is a
 boolean mask, and deliveries may carry a per-recipient mask, so M
 trials times n processes advance in one NumPy operation per round.
 
-Adversaries return a :class:`Batch2DDecision` in one of two forms:
-
-* **counts** — ``(kill_ones, kill_zeros)`` per trial, exactly the 1-D
-  batch adversary contract.  The engine materialises victims as the
-  first ``k`` members of each bit class in pid order (the rule the
-  reference-engine differential tests script their silent schedules
-  with), so any :class:`~repro.sim.batch.BatchFastAdversary` lifts onto this engine
-  via :class:`Batch2DCounts` with **bit-for-bit identical** trajectories
-  — coin flips included, because flipping receivers are assigned the
-  same per-round hash bits (rank ``j`` in pid order reads bit ``j`` of
-  the round's word block, which is precisely the bit set
-  :func:`repro.sim.streams.fair_binomial` popcounts).
-* **masks** — explicit ``(M, n)`` victim masks, optionally split into
-  silent victims and after-send victims plus one shared per-recipient
-  delivery mask per trial.  This is the paper's view-splitting move,
-  inexpressible at counts level (:class:`Batch2DPartition` uses it).
+Adversaries return a :class:`Batch2DDecision`: explicit ``(M, n)``
+victim masks, optionally split into silent victims and after-send
+victims plus one shared per-recipient delivery mask per trial.  This
+is the paper's view-splitting move, inexpressible at counts level
+(:class:`Batch2DPartition` uses it).  Counts-level attacks
+(:class:`~repro.sim.batch.BatchFastAdversary`) leave every receiver
+with the same tallies and run on the counts engine instead; the
+harness picks the engine from the adversary's decision form.
 
 Fault realisations follow the 1-D engine: crash kinds remove victims,
 omission kinds suppress broadcasts while preserving the population
 (budgeted by the shared
 :class:`~repro.faultmodels.omission.BatchSuppressionLedger` high-water
 rule), and a positive ``lag`` serves the adversary a stale snapshot via
-:class:`~repro.faultmodels.late.LagRing` with kill clamping.  Models
-with no counts realisation (``receive-omission``) are rejected: a
-per-receiver *inbox* mask is still out of scope (the delivery mask here
-is per *sender class*, not per pair).
+:class:`~repro.faultmodels.late.LagRing`.  Models with no counts
+realisation (``receive-omission``) are rejected: a per-receiver *inbox*
+mask is still out of scope (the delivery mask here is per *sender
+class*, not per pair).
 
 Randomness, seed derivation, and the coin-stride layout are byte-for-
-byte those of the 1-D batch engine, so ``spec_hash``, cache keys, and
-resume semantics are untouched; the differential suite pins the 1-D/2-D
-equivalence exactly, seed for seed.
+byte those of the 1-D batch engine: flipping receivers are assigned
+the round's hash bits in pid order (rank ``j`` reads bit ``j`` of the
+round's word block, precisely the bit set
+:func:`repro.sim.streams.fair_binomial` popcounts), so silent masks
+that crash the first ``k`` members of each bit class reproduce a
+counts adversary's trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -66,8 +61,6 @@ from repro.sim.batch import (
     STAGE_DETERMINISTIC,
     STAGE_PROBABILISTIC,
     STAGE_SYNC,
-    BatchFastAdversary,
-    BatchFastView,
     BatchResult,
 )
 from repro.sim.engine import default_max_rounds
@@ -77,7 +70,6 @@ from repro._math import deterministic_stage_threshold
 
 __all__ = [
     "Batch2DAdversary",
-    "Batch2DCounts",
     "Batch2DDecision",
     "Batch2DEngine",
     "Batch2DPartition",
@@ -87,40 +79,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Batch2DDecision:
-    """One round's fault injection, in counts or mask form.
+    """One round's fault injection as ``(M, n)`` boolean victim masks.
 
-    Exactly one form is populated (use the :meth:`counts` / :meth:`masks`
-    constructors).  In mask form, ``after_send`` victims broadcast to
-    the trial's shared ``recipients`` mask before failing; ``silent``
-    victims deliver nothing.  All masks are ``(M, n)`` booleans.
+    ``silent`` victims deliver nothing; ``after_send`` victims
+    broadcast to the trial's shared ``recipients`` mask before failing.
     """
 
-    kill_ones: Optional[np.ndarray] = None
-    kill_zeros: Optional[np.ndarray] = None
-    silent: Optional[np.ndarray] = None
+    silent: np.ndarray
     after_send: Optional[np.ndarray] = None
     recipients: Optional[np.ndarray] = None
-
-    @classmethod
-    def counts(
-        cls, kill_ones: np.ndarray, kill_zeros: np.ndarray
-    ) -> "Batch2DDecision":
-        """Per-trial kill counts, the 1-D batch adversary contract."""
-        return cls(kill_ones=kill_ones, kill_zeros=kill_zeros)
-
-    @classmethod
-    def masks(
-        cls,
-        silent: np.ndarray,
-        after_send: Optional[np.ndarray] = None,
-        recipients: Optional[np.ndarray] = None,
-    ) -> "Batch2DDecision":
-        """Explicit victim masks with optional split delivery."""
-        return cls(silent=silent, after_send=after_send, recipients=recipients)
-
-    @property
-    def is_counts(self) -> bool:
-        return self.kill_ones is not None
 
 
 @dataclass(frozen=True)
@@ -131,9 +98,9 @@ class Batch2DView:
     ``(M,)``; all are snapshots or live references the adversary must
     not mutate.  ``received_totals[r]`` is the per-trial count of
     messages every receiver of round ``r`` saw (the common, unmasked
-    deliveries) — identical to the 1-D engine's history under
-    counts-form decisions, and the conservative lower envelope when a
-    delivery mask was in play.
+    deliveries) — the tally history of the 1-D engine while no
+    delivery mask split a round, and the conservative lower envelope
+    once one did.
     """
 
     round_index: int
@@ -145,9 +112,6 @@ class Batch2DView:
     alive: np.ndarray
     trial_stage: np.ndarray
     sender_count: np.ndarray
-    ones: np.ndarray
-    zeros: np.ndarray
-    tentative_count: np.ndarray
     budget_remaining: np.ndarray
     received_totals: Tuple[np.ndarray, ...]
     active: np.ndarray
@@ -157,28 +121,6 @@ class Batch2DView:
         if round_index < 0:
             return np.full(self.sender_count.shape, self.n, dtype=np.int64)
         return self.received_totals[round_index]
-
-    def counts_view(self) -> BatchFastView:
-        """This round as a 1-D :class:`BatchFastView`.
-
-        Exact whenever per-trial views are uniform (which they are as
-        long as every adversary decision so far was counts-form); under
-        mask-split views the aggregates are still well-defined but
-        population-level, and counts adversaries consume them at their
-        own risk.
-        """
-        return BatchFastView(
-            round_index=self.round_index,
-            n=self.n,
-            stage=self.trial_stage,
-            senders=self.sender_count,
-            ones=self.ones,
-            zeros=self.zeros,
-            tentative=self.tentative_count,
-            budget_remaining=self.budget_remaining,
-            received_history=self.received_totals,
-            active=self.active,
-        )
 
 
 class Batch2DAdversary(abc.ABC):
@@ -202,31 +144,6 @@ class Batch2DAdversary(abc.ABC):
     @abc.abstractmethod
     def choose(self, view: Batch2DView) -> Batch2DDecision:
         """Return this round's fault injection."""
-
-
-class Batch2DCounts(Batch2DAdversary):
-    """Lift any 1-D :class:`BatchFastAdversary` onto the 2-D engine.
-
-    The inner adversary sees the per-trial aggregate view
-    (:meth:`Batch2DView.counts_view`) and returns kill counts; the
-    engine materialises victims with the scalar engine's first-``k``
-    pid-order rule.  Trajectories are bit-for-bit identical to running
-    the inner adversary on :class:`~repro.sim.batch.BatchFastEngine`.
-    """
-
-    name = "batch2d-counts"
-
-    def __init__(self, inner: BatchFastAdversary) -> None:
-        super().__init__(inner.t)
-        self.inner = inner
-        self.name = f"batch2d-counts[{inner.name}]"
-
-    def reset(self, n: int, seeds: Sequence[int]) -> None:
-        self.inner.reset(n, seeds)
-
-    def choose(self, view: Batch2DView) -> Batch2DDecision:
-        k1, k0 = self.inner.choose(view.counts_view())
-        return Batch2DDecision.counts(k1, k0)
 
 
 class Batch2DPartition(Batch2DAdversary):
@@ -267,7 +184,7 @@ class Batch2DPartition(Batch2DAdversary):
         cut = min(n, max(1, int(round(self.fraction * n))))
         recipients = np.zeros((M, n), dtype=bool)
         recipients[:, :cut] = True
-        return Batch2DDecision.masks(
+        return Batch2DDecision(
             silent=np.zeros((M, n), dtype=bool),
             after_send=after,
             recipients=recipients,
@@ -277,22 +194,6 @@ class Batch2DPartition(Batch2DAdversary):
 def _row_count(mask: np.ndarray) -> np.ndarray:
     """``mask.sum(axis=1)`` as int64, accumulated in int32 (faster)."""
     return mask.sum(axis=1, dtype=np.int32).astype(np.int64)
-
-
-def _first_k(members: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The first ``k[i]`` members of row ``i``, in pid order.
-
-    Reads them off the row-major list of member positions: one scan
-    of ``members`` plus work per victim, where a running count would
-    add over every pid.  Needs ``0 <= k[i] <= members[i].sum()``.
-    """
-    counts = _row_count(members)
-    pos = np.flatnonzero(members)
-    # Victim j of row i is pos[counts[:i].sum() + j].
-    offset = np.repeat(np.cumsum(counts) - counts - (np.cumsum(k) - k), k)
-    out = np.zeros(members.size, dtype=bool)
-    out[pos[offset + np.arange(offset.size)]] = True
-    return out.reshape(members.shape)
 
 
 class Batch2DEngine:
@@ -308,13 +209,12 @@ class Batch2DEngine:
     ``(M, n)``.  The per-receiver tallies (the round's ones and zeros
     received, and the three-round history of totals that the cascade
     and STOP rule read) are held per *trial*, ``(M, 1)``, while every
-    receiver of a trial hears the same broadcasts: in every
-    counts-form round, and in every mask round without a recipient
-    split.  A mask round whose after-send victims reach only a
-    ``recipients`` mask makes that round's tallies per *process*,
-    ``(M, n)``.  The history keeps them for the three rounds it looks
-    back, then narrows again.  NumPy broadcasting runs both shapes
-    through the same code.
+    receiver of a trial hears the same broadcasts: in every round
+    without a recipient split.  A round whose after-send victims reach
+    only a ``recipients`` mask makes that round's tallies per
+    *process*, ``(M, n)``.  The history keeps them for the three
+    rounds it looks back, then narrows again.  NumPy broadcasting runs
+    both shapes through the same code.
     """
 
     def __init__(
@@ -466,9 +366,6 @@ class Batch2DEngine:
                 alive=alive,
                 trial_stage=trial_stage,
                 sender_count=p,
-                ones=s1,
-                zeros=s0,
-                tentative_count=_row_count(tent & senders),
                 budget_remaining=t - budget_used,
                 received_totals=tuple(hist_totals),
                 active=active,
@@ -486,9 +383,6 @@ class Batch2DEngine:
                     alive=stale.alive,
                     trial_stage=stale.trial_stage,
                     sender_count=stale.sender_count,
-                    ones=stale.ones,
-                    zeros=stale.zeros,
-                    tentative_count=stale.tentative_count,
                     budget_remaining=t - budget_used,
                     received_totals=tuple(
                         hist_totals[: stale.round_index]
@@ -503,76 +397,41 @@ class Batch2DEngine:
             # after-send victims by bit.  Crash kinds remove them from
             # ``alive`` here; ``senders`` and ``ones_mask`` keep the
             # round's start.
+            silent = dec.silent & senders
+            after = (
+                dec.after_send & senders & ~silent
+                if dec.after_send is not None
+                else None
+            )
+            if not lag:
+                # Non-lagged adversaries must aim at actual senders; a
+                # stale view may name processes that stopped since.
+                stray = dec.silent & ~senders
+                if dec.after_send is not None:
+                    stray |= dec.after_send & ~senders
+                stray &= active[:, None]
+                if stray.any():
+                    i = int(np.flatnonzero(stray.any(axis=1))[0])
+                    raise ConfigurationError(
+                        f"batch2d adversary targeted non-senders in "
+                        f"trial {i}"
+                    )
+            killed1 = _row_count(silent & ones_mask)
+            injected = _row_count(silent)
+            killed0 = injected - killed1
+            if not omission:
+                alive &= ~silent
             a1 = a0 = 0
             rmask = None
-            if dec.is_counts:
-                k1 = np.where(
-                    active, np.asarray(dec.kill_ones, dtype=np.int64), 0
-                )
-                k0 = np.where(
-                    active, np.asarray(dec.kill_zeros, dtype=np.int64), 0
-                )
-                if lag:
-                    # Stale-view counts may overshoot today's classes;
-                    # the lagged adversary gets the clamped effect.
-                    k1 = np.minimum(k1, s1)
-                    k0 = np.minimum(k0, s0)
-                bad = (k1 < 0) | (k0 < 0) | (k1 > s1) | (k0 > s0)
-                if bad.any():
-                    i = int(np.flatnonzero(bad)[0])
-                    raise ConfigurationError(
-                        f"batch2d adversary returned invalid kill counts "
-                        f"({int(k1[i])}, {int(k0[i])}) for trial {i} with "
-                        f"ones={int(s1[i])}, zeros={int(s0[i])}"
-                    )
-                killed1, killed0 = k1, k0
-                injected = k1 + k0
+            if after is not None:
+                a1 = _row_count(after & ones_mask)
+                a_all = _row_count(after)
+                a0 = a_all - a1
+                injected = injected + a_all
                 if not omission:
-                    # First-k members of each class in pid order — the
-                    # scalar engine's victim rule, so counts adversaries
-                    # are bit-identical across all three engines.  Only
-                    # the rows with kills in a class are searched.
-                    hit = np.flatnonzero(k1)
-                    if hit.size:
-                        alive[hit] &= ~_first_k(ones_mask[hit], k1[hit])
-                    hit = np.flatnonzero(k0)
-                    if hit.size:
-                        zeros_hit = senders[hit] & ~ones_mask[hit]
-                        alive[hit] &= ~_first_k(zeros_hit, k0[hit])
-            else:
-                silent = dec.silent & senders
-                after = (
-                    dec.after_send & senders & ~silent
-                    if dec.after_send is not None
-                    else None
-                )
-                if not lag:
-                    # Non-lagged adversaries must aim at actual senders
-                    # (the lagged clamp above is the only forgiveness).
-                    stray = dec.silent & ~senders
-                    if dec.after_send is not None:
-                        stray |= dec.after_send & ~senders
-                    stray &= active[:, None]
-                    if stray.any():
-                        i = int(np.flatnonzero(stray.any(axis=1))[0])
-                        raise ConfigurationError(
-                            f"batch2d adversary targeted non-senders in "
-                            f"trial {i}"
-                        )
-                killed1 = _row_count(silent & ones_mask)
-                injected = _row_count(silent)
-                killed0 = injected - killed1
-                if not omission:
-                    alive &= ~silent
-                if after is not None:
-                    a1 = _row_count(after & ones_mask)
-                    a_all = _row_count(after)
-                    a0 = a_all - a1
-                    injected = injected + a_all
-                    if not omission:
-                        alive &= ~after
-                    if dec.recipients is not None and a_all.any():
-                        rmask = dec.recipients
+                    alive &= ~after
+                if dec.recipients is not None and a_all.any():
+                    rmask = dec.recipients
 
             if omission:
                 ledger.charge(injected)
@@ -742,9 +601,6 @@ class Batch2DEngine:
             alive=view.alive.copy(),
             trial_stage=view.trial_stage.copy(),
             sender_count=view.sender_count.copy(),
-            ones=view.ones.copy(),
-            zeros=view.zeros.copy(),
-            tentative_count=view.tentative_count.copy(),
             budget_remaining=view.budget_remaining.copy(),
             received_totals=view.received_totals,
             active=view.active.copy(),

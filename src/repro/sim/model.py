@@ -45,7 +45,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "COUNTS_CRASH",
     "COUNTS_OMISSION",
-    "CrashDecision",
     "FaultDecision",
     "FaultModel",
     "FailureDecision",
@@ -250,11 +249,6 @@ class FailureDecision(FaultDecision):
         return allowed is not None and recipient in allowed
 
 
-#: Backwards-compatible alias: ``FailureDecision`` predates the fault
-#: layer and keeps its name; ``CrashDecision`` is the model-family name.
-CrashDecision = FailureDecision
-
-
 @dataclass(frozen=True)
 class SendOmissionDecision(FaultDecision):
     """One round of send-omission faults.
@@ -431,16 +425,6 @@ class FaultModel(abc.ABC):
     def crash_victims(self, decision: FaultDecision) -> FrozenSet[int]:
         """Pids that stop participating forever after this round."""
 
-    @abc.abstractmethod
-    def delivers(
-        self, decision: FaultDecision, sender: int, recipient: int
-    ) -> bool:
-        """Whether ``sender``'s round message reaches ``recipient``.
-
-        Only consulted for ``sender != recipient``; a process always
-        sees its own broadcast value regardless of the model.
-        """
-
     def adversary_view(self, view: RoundView) -> RoundView:
         """The view the adversary conditions on this round.
 
@@ -461,26 +445,21 @@ class FaultModel(abc.ABC):
         """
         return round_index
 
+    @abc.abstractmethod
     def withheld(
         self,
         decision: FaultDecision,
         participants: Sequence[int],
         receivers: Sequence[int],
     ) -> Dict[int, FrozenSet[int]]:
-        """Trace record: sender -> receivers that missed its message.
+        """Sender -> the receivers that miss its round message.
 
-        The default covers crash-family models (entries for every
-        victim, even when nothing was withheld, matching the historical
-        trace shape); omission models override to record their drops.
+        The one delivery oracle: the engine builds every inbox from it
+        and the trace records it.  A process always sees its own
+        broadcast value, so no sender withholds from itself.
+        Crash-family models keep an entry for every victim, even when
+        nothing was withheld (the historical trace shape).
         """
-        return {
-            v: frozenset(
-                r
-                for r in receivers
-                if r != v and not self.delivers(decision, v, r)
-            )
-            for v in self.crash_victims(decision)
-        }
 
 
 @dataclass(frozen=True)

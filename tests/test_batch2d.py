@@ -1,24 +1,31 @@
 """Differential + semantic gates for the two-axis (M, n) engine.
 
-Four tiers, matching the engine's parity contract:
+Five tiers, matching the engine's parity contract:
 
-* **Exact 1-D/2-D agreement.**  A counts-form adversary lifted via
-  ``Batch2DCounts`` must produce **bit-for-bit** the trajectories of
-  ``BatchFastEngine`` — coin rounds included, because the 2-D engine
-  assigns flip rank ``j`` the ``j``-th bit of the round's word block,
-  the exact bit set ``fair_binomial`` popcounts.  Checked for every
-  ported adversary under every batch-realised fault model (crash,
-  send-omission, late), seed for seed, on coin-flipping mixed inputs,
-  at a one-word (n = 48) and a three-word (n = 130) coin block.
+* **Exact 1-D/2-D agreement.**  A counts adversary driven through
+  ``_SilentCounts`` (silent masks crashing the first ``k`` members of
+  each bit class in pid order, the counts engine's victim rule) must
+  produce **bit-for-bit** the trajectories of ``BatchFastEngine`` —
+  coin rounds included, because the 2-D engine assigns flip rank ``j``
+  the ``j``-th bit of the round's word block, the exact bit set
+  ``fair_binomial`` popcounts.  Checked for every ported adversary
+  under every batch-realised fault model (crash, send-omission, late),
+  seed for seed, on coin-flipping mixed inputs, at a one-word (n = 48)
+  and a three-word (n = 130) coin block.  Under ``late`` a mask
+  adversary sees only the stale classes, so an attack that crashes in
+  consecutive rounds (``random``) has no exact mask twin there.
 
 * **Mask semantics.**  After-send victims with an empty recipient mask
   are behaviourally identical to silent victims; with a full recipient
   mask their last message lands everywhere first, which changes the
-  trajectory.  Plus the budget, stray-target, and invalid-counts
-  sanitizers.
+  trajectory.  Plus the budget and stray-target sanitizers.
 
 * **Mask-path goldens.**  Split-delivery runs have no 1-D reference,
   so exact recorded results pin them.
+
+* **Spec outcomes.**  Every name the adversary table builds for
+  ``engine="batch2d"`` keeps its recorded outcome digests; counts
+  attacks among them run on the counts engine.
 
 * **Budget invariants.**  A Hypothesis property: no adversary/fault
   combination ever reports ``crashes_used > t`` for any trial.
@@ -30,19 +37,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.adversary.registry import available_adversaries
 from repro.errors import BudgetExceededError, ConfigurationError
 from repro.faultmodels.late import LateFaultModel
+from repro.harness.exec.builders import build_batch_adversary
+from repro.harness.exec.spec import (
+    ENGINE_BATCH,
+    ENGINE_BATCH2D,
+    TrialSpec,
+    spec_params,
+)
+from repro.harness.exec.trial import (
+    outcomes_digest,
+    run_spec_batch,
+    vectorized_kind,
+)
 from repro.protocols import SynRanProtocol
 from repro.sim.batch import (
     BatchBenign,
     BatchFastEngine,
+    BatchFastView,
     BatchRandomCrash,
     BatchTallyAttack,
     BatchValencyKeeper,
 )
 from repro.sim.batch2d import (
     Batch2DAdversary,
-    Batch2DCounts,
     Batch2DDecision,
     Batch2DEngine,
     Batch2DPartition,
@@ -71,6 +91,45 @@ def _assert_results_equal(a, b, label=""):
         assert np.array_equal(fa, fb), f"{label}: {field} diverged"
 
 
+def _first_k(members, k):
+    """The first ``k[i]`` members of row ``i``, in pid order."""
+    return members & (np.cumsum(members, axis=1) <= k[:, None])
+
+
+class _SilentCounts(Batch2DAdversary):
+    """A counts adversary on the 2-D engine: it reads the view's
+    per-trial aggregates and crashes the first ``k`` members of each
+    bit class silently, the victim rule of the counts engine."""
+
+    name = "test-silent-counts"
+
+    def __init__(self, inner):
+        super().__init__(inner.t)
+        self.inner = inner
+
+    def reset(self, n, seeds):
+        self.inner.reset(n, seeds)
+
+    def choose(self, view):
+        ones = view.senders & (view.bits == 1)
+        zeros = view.senders & ~ones
+        k1, k0 = self.inner.choose(
+            BatchFastView(
+                round_index=view.round_index,
+                n=view.n,
+                stage=view.trial_stage,
+                senders=view.sender_count,
+                ones=ones.sum(axis=1),
+                zeros=zeros.sum(axis=1),
+                tentative=(view.tentative & view.senders).sum(axis=1),
+                budget_remaining=view.budget_remaining,
+                received_history=view.received_totals,
+                active=view.active,
+            )
+        )
+        return Batch2DDecision(silent=_first_k(ones, k1) | _first_k(zeros, k0))
+
+
 _ADVERSARIES = {
     "benign": lambda t: BatchBenign(),
     "random": lambda t: BatchRandomCrash(t, rate=0.1),
@@ -87,7 +146,10 @@ _FAULT_MODELS = {
 
 #: Widths for the exact gates: n = 48 fits one 64-bit coin word per
 #: round; n = 130 spans three, so flip ranks >= 64 read later words.
-#: The one-word cases keep their unsuffixed ids.
+#: The one-word cases keep their unsuffixed ids.  ``random`` under
+#: ``late`` is left out: the counts engine clamps a stale kill count
+#: to today's classes, which a mask chosen from the stale view cannot
+#: see.
 _EXACT_CASES = [
     pytest.param(
         name, fault, n, id=f"{name}-{fault}" + ("" if n == 48 else f"-n{n}")
@@ -95,13 +157,14 @@ _EXACT_CASES = [
     for n in (48, 130)
     for name in sorted(_ADVERSARIES)
     for fault in sorted(_FAULT_MODELS)
+    if (name, fault) != ("random", "late")
 ]
 
 
 class TestExact1D2DAgreement:
     """Every ported adversary x every batch fault model x both coin
-    widths: the lifted 2-D run equals the 1-D run bit-for-bit, coins
-    and histories included."""
+    widths: the counts adversary as silent masks on the 2-D engine
+    equals its 1-D run bit-for-bit, coins and histories included."""
 
     M = 16
     N = 48
@@ -122,7 +185,7 @@ class TestExact1D2DAgreement:
         ).run(inputs, seeds)
         two_d = Batch2DEngine(
             SynRanProtocol(),
-            Batch2DCounts(_ADVERSARIES[name](t)),
+            _SilentCounts(_ADVERSARIES[name](t)),
             n,
             fault_model=model,
             strict_termination=False,
@@ -142,7 +205,7 @@ class TestExact1D2DAgreement:
         ).run(mat, seeds)
         two_d = Batch2DEngine(
             SynRanProtocol(),
-            Batch2DCounts(BatchTallyAttack(self.T)),
+            _SilentCounts(BatchTallyAttack(self.T)),
             self.N,
             strict_termination=False,
         ).run(mat, seeds)
@@ -172,10 +235,10 @@ class _OneShotMask(Batch2DAdversary):
         if view.round_index == 0:
             mask[:, : self.k] = view.senders[:, : self.k]
         if self.silent_kind:
-            return Batch2DDecision.masks(silent=mask)
+            return Batch2DDecision(silent=mask)
         recipients = np.zeros((M, n), dtype=bool)
         recipients[:, : self.recipient_cut] = True
-        return Batch2DDecision.masks(
+        return Batch2DDecision(
             silent=np.zeros((M, n), dtype=bool),
             after_send=mask,
             recipients=recipients,
@@ -183,7 +246,8 @@ class _OneShotMask(Batch2DAdversary):
 
 
 class _PeriodicSplit(Batch2DAdversary):
-    """Tally-attack counts rounds with a split mask round every fifth.
+    """Tally-attack rounds (as silent first-k masks) with a split
+    round every fifth.
 
     On a split round, the first sender of each trial with budget left
     is an after-send victim heard only by pids below ``n // 3``, so the
@@ -196,21 +260,20 @@ class _PeriodicSplit(Batch2DAdversary):
 
     def __init__(self, t):
         super().__init__(t)
-        self.inner = BatchTallyAttack(t)
+        self.counts = _SilentCounts(BatchTallyAttack(t))
 
     def reset(self, n, seeds):
-        self.inner.reset(n, seeds)
+        self.counts.reset(n, seeds)
 
     def choose(self, view):
         if view.round_index % 5:
-            k1, k0 = self.inner.choose(view.counts_view())
-            return Batch2DDecision.counts(k1, k0)
+            return self.counts.choose(view)
         M, n = view.senders.shape
         room = view.active & (view.budget_remaining > 0)
         first = view.senders & (np.cumsum(view.senders, axis=1) == 1)
         recipients = np.zeros((M, n), dtype=bool)
         recipients[:, : n // 3] = True
-        return Batch2DDecision.masks(
+        return Batch2DDecision(
             silent=np.zeros((M, n), dtype=bool),
             after_send=first & room[:, None],
             recipients=recipients,
@@ -481,6 +544,102 @@ class TestMaskPathGoldens:
         assert _result_digest(result) == digest
 
 
+# ----------------------------------------------------------------------
+# Spec outcomes on engine="batch2d"
+# ----------------------------------------------------------------------
+
+#: ``(adversary, fault, n) -> outcomes_digest`` of trials 0..19 of the
+#: ``engine="batch2d"`` spec ``synran`` x adversary, ``t = n``, default
+#: (``worst``) inputs, base seed 5; ``late`` runs with lag 1.  The
+#: values were recorded from the 2-D engine's own counts path, so the
+#: counts names also pin that the counts engine reproduces it.
+SPEC_DIGESTS = {
+    ("benign", "crash", 32): "18ebe3abfb7ba22db178bfc15f00ee1c21f4f73b8cdf66e2943959aad4be1eba",
+    ("benign", "crash", 130): "5493c1818b2a2ec5b1229ea76585e2d0010af2f312b313416afd215ccd37eb83",
+    ("benign", "send-omission", 32): "a2ff321ef435269d37340ce5e01b6686e68e9b8925679ed40f38474eebfcb573",
+    ("benign", "send-omission", 130): "d0ef54817c08dd115adf7f01cf7c377551bd40b7fadf7808310034a9d075b9f4",
+    ("benign", "late", 32): "8ee18aac2dee450203721197e4137100523d64cca5737f551ec3832420ec68be",
+    ("benign", "late", 130): "48fdea7b21ae3ba4a7fbda54c099ddf04f138b8557bdc11ccbf18b6c428c5f1a",
+    ("oblivious-calibrated", "crash", 32): "e027ddbb086739e8cb4618b0825121cd2eee6e63d7e9fe423eb494421b0b3681",
+    ("oblivious-calibrated", "crash", 130): "e6a51a51fa58c21f83c01a487d1673fdfbc9fd203d9210a9c63c3df0d79ec033",
+    ("oblivious-calibrated", "send-omission", 32): "7b6b5a578a412c16b2872fedff41a7eff43b019a0c951aad71f80888b82ebb7d",
+    ("oblivious-calibrated", "send-omission", 130): "aa56c16d993e06cc68fa1e2d41f4a9f66018bc802d87a2721897f788a01f17a3",
+    ("oblivious-calibrated", "late", 32): "f327bdc6aa6e93a17fb639489ede0a62ca546cf82a8c1cffaf2cd0675291d534",
+    ("oblivious-calibrated", "late", 130): "29db959e0e2c44029b53cabdebef2043e8b2791ceed2cc0dd8cc8822873cf615",
+    ("partition", "crash", 32): "5834c491d77b35100bf8ec578b9fc698ceab076ad5430d8ad465e094ac368683",
+    ("partition", "crash", 130): "4bba90b4d9bc7dc1a18c077335b4dfb9535b5a9f94b5ad418ba76f8aef3a2feb",
+    ("partition", "send-omission", 32): "1f760425f211dc560aa97cb0e681eb3c9f3c91310f27a6498ae20727c7eec36b",
+    ("partition", "send-omission", 130): "5432df45f9d5ff858a5ad12c6100c65e88ae4d975bcd41697a961d1092307a13",
+    ("partition", "late", 32): "35c6450135ed8ca5c42bbc5bcb2cde67dc575487cb43c4635557d81ea915e226",
+    ("partition", "late", 130): "3396b088698956fb2f89ab427dad3882cd64c29d07a82c28c46a3c911897d298",
+    ("random", "crash", 32): "573770e68edeb850422544e60823b19a50110956172ae757978d001c0cf0d518",
+    ("random", "crash", 130): "fa2fade8a3b9ec90223f25a33e2d3b95d865c539769f6b1dcf9ad4236c28cc57",
+    ("random", "send-omission", 32): "28e224058a9599478bf7eb557d4003f41ea2c332e2a6ec435bfb2ed99386616c",
+    ("random", "send-omission", 130): "6f0fd2dcdfacc3055627a3c6d6a221c1c3d9096158c7f7910d1d5d5bbb5b3cbb",
+    ("random", "late", 32): "cc3f83cd56e8ac74d4f5c66ca49e25ed0d51b6cd26351be8cc3626c9b0ea1fb5",
+    ("random", "late", 130): "eafabaf4160525ec44e36d6d8df1c5e48521eb827709ecd5c7579b00f7e55925",
+    ("tally-attack", "crash", 32): "902257b6b85585e7608921404b8425078ee483b75d17f31079e3e60bff9f4adf",
+    ("tally-attack", "crash", 130): "d255ce027db3a6f2265931e84b39f4b382c920c82fe7fc08d01c92fa0c310414",
+    ("tally-attack", "send-omission", 32): "bbe87de9cd5b2ba2919b6991592d15fce226ea25263e55b0aa8a8073e6ade305",
+    ("tally-attack", "send-omission", 130): "e538131a60789c4d6324064f23b85527f378135e0b0805c8aa424808aa627504",
+    ("tally-attack", "late", 32): "aefc9f23f6fff397d15c06d470b423c2275612c3a202f5639aceafff680fdeee",
+    ("tally-attack", "late", 130): "ef5f724f5a72cd652b61ff499c0d149a23897033e81a98cf5c2fea612aee01e2",
+    ("tally-bleed-only", "crash", 32): "8fdb92b757773424f75045779a45b934d7c4cd0bba821f2ec70fe3338112d67f",
+    ("tally-bleed-only", "crash", 130): "b89e42f23a2d12a917b7e8e26a75530afa47260f91d690f1fb93f63c464a7d55",
+    ("tally-bleed-only", "send-omission", 32): "51d23350087b4b1c188597f330e10d0790ec06540a38e8329fddbebfc1604085",
+    ("tally-bleed-only", "send-omission", 130): "9aaad3555d091492e96e9cc5c2867ace12988968016a7f601c2a9fc1e12b284e",
+    ("tally-bleed-only", "late", 32): "92b2bbf395f74015a1e19c467b61c5660162dd3116fe2c08c37520ce8cbcd88f",
+    ("tally-bleed-only", "late", 130): "5be387ef02217b3392600fd5306a2eeb23dbd56c2b3d1fb8173a0fd01077a4b6",
+    ("tally-split-only", "crash", 32): "3701f6f4abd2a4153de838565a4ae24d490968bb12580d8d42e5882ac4f108ad",
+    ("tally-split-only", "crash", 130): "e79541a6bef4609fba76981a13f12f1ca7389c16438e6d83e2a5ddb19d3ed333",
+    ("tally-split-only", "send-omission", 32): "fa3b97d0c41f09c83823476fd1120ff628c87f58bfded9d72749fba45c9b11b1",
+    ("tally-split-only", "send-omission", 130): "6cda693bece29c50aaf5040f53025f5d28ef56f5ac3c8e491cf89c0c01f26d0e",
+    ("tally-split-only", "late", 32): "ec387372350582ce9a4d7c92e6b9902f3ea414119a5d5c0a6dffe39dd7f29fe0",
+    ("tally-split-only", "late", 130): "e01c4e3715cdf5efd5e35a6767ce10f38bcd819b9d098243ce6fddf3cde59b3c",
+    ("valency-keeper", "crash", 32): "4dd6ab080f94dbc27edee52a671ff037a2af9cb3e9165ef2576159631a5ed777",
+    ("valency-keeper", "crash", 130): "50337368d0c85f662ef35b9ca5d4191dc8ecb38c1464fc0858d5b1e687e86508",
+    ("valency-keeper", "send-omission", 32): "677ada29ffcff469d7f6abf72f0648ff3d20cf49ff6136de33ed81a05f5852ec",
+    ("valency-keeper", "send-omission", 130): "7106834c1422f742fc833545c3f478179f7ea9d6a1c3b317831a0d5e0e54639c",
+    ("valency-keeper", "late", 32): "1cfcf68e68f0b6e8c75d735de55b52894ae5ed9133fb615c714a5e464df47bf1",
+    ("valency-keeper", "late", 130): "4825b8860d4275e7c40537c6f521adcd4684d3a88c2eecdeaf4190cee183e819",
+}
+
+_SPEC_FAULTS = {
+    "crash": (),
+    "send-omission": (),
+    "late": spec_params(lag=1),
+}
+
+
+class TestBatch2DSpecDigests:
+    """Every name the table builds for ``batch2d``, under every
+    batch-realised fault model: outcomes are the pinned ones, and the
+    engine is the one the decision form picks."""
+
+    def test_every_batch2d_name_is_pinned(self):
+        assert sorted({name for name, _, _ in SPEC_DIGESTS}) == (
+            available_adversaries(ENGINE_BATCH2D)
+        )
+
+    @pytest.mark.parametrize(
+        "name,fault,n", sorted(SPEC_DIGESTS), ids=lambda v: str(v)
+    )
+    def test_outcomes_match_digest(self, name, fault, n):
+        spec = TrialSpec(
+            protocol="synran",
+            adversary=name,
+            n=n,
+            t=n,
+            engine=ENGINE_BATCH2D,
+            fault_model=fault,
+            fault_model_params=_SPEC_FAULTS[fault],
+        )
+        kind = vectorized_kind(build_batch_adversary(spec))
+        assert kind == (ENGINE_BATCH2D if name == "partition" else ENGINE_BATCH)
+        outcomes = run_spec_batch(spec, range(20), 5)
+        assert outcomes_digest(outcomes) == SPEC_DIGESTS[(name, fault, n)]
+
+
 class _StrayTargeter(Batch2DAdversary):
     """Targets pid 0 every round — including after it is dead."""
 
@@ -490,7 +649,7 @@ class _StrayTargeter(Batch2DAdversary):
         M, n = view.senders.shape
         mask = np.zeros((M, n), dtype=bool)
         mask[:, 0] = True
-        return Batch2DDecision.masks(silent=mask)
+        return Batch2DDecision(silent=mask)
 
 
 class _OverBudget(Batch2DAdversary):
@@ -499,17 +658,7 @@ class _OverBudget(Batch2DAdversary):
     name = "test-over-budget"
 
     def choose(self, view):
-        return Batch2DDecision.masks(silent=view.senders.copy())
-
-
-class _BadCounts(Batch2DAdversary):
-    name = "test-bad-counts"
-
-    def choose(self, view):
-        M = view.sender_count.shape[0]
-        return Batch2DDecision.counts(
-            np.full(M, view.n + 1, dtype=np.int64), np.zeros(M, dtype=np.int64)
-        )
+        return Batch2DDecision(silent=view.senders.copy())
 
 
 class TestSanitizers:
@@ -524,19 +673,15 @@ class TestSanitizers:
         with pytest.raises(BudgetExceededError):
             self._engine(_OverBudget(2)).run(_mixed_inputs(12), [0, 1])
 
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(ConfigurationError, match="invalid kill counts"):
-            self._engine(_BadCounts(12)).run(_mixed_inputs(12), [0, 1])
-
     def test_receive_omission_has_no_grid_realisation(self):
         with pytest.raises(ConfigurationError, match="grid realisation"):
             self._engine(
-                Batch2DCounts(BatchBenign()),
+                Batch2DPartition(2),
                 fault_model="receive-omission",
             )
 
     def test_bad_input_shapes_rejected(self):
-        engine = self._engine(Batch2DCounts(BatchBenign()))
+        engine = self._engine(Batch2DPartition(2))
         with pytest.raises(ConfigurationError):
             engine.run([1] * 5, [0])
         with pytest.raises(ConfigurationError):
@@ -565,7 +710,7 @@ def test_budget_never_exceeds_t(n, t_frac, fault, name, seed0):
     if name == "partition":
         adv = Batch2DPartition(t) if t else Batch2DPartition(0)
     else:
-        adv = Batch2DCounts(_ADVERSARIES[name](t))
+        adv = _SilentCounts(_ADVERSARIES[name](t))
     result = Batch2DEngine(
         SynRanProtocol(),
         adv,

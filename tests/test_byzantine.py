@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
     ENGINE_REFERENCE,
@@ -35,7 +36,6 @@ from repro.harness.exec import (
     TrialBatch,
     TrialSpec,
 )
-from repro.harness.exec.cache import cache_salt
 from repro.harness.exec.trial import outcomes_digest
 from repro.harness.resilience import (
     AuditPolicy,
@@ -125,23 +125,20 @@ class TestAttestation:
         path.write_text(json.dumps(doc))
         assert cache.load(batch) is None
 
-    def test_v2_document_upgrades_in_place(self, tmp_path):
+    def test_v2_document_is_a_miss(self, tmp_path):
+        # A schema-2 document carries no digest, so nothing attests its
+        # outcomes: it must be recomputed, never served or upgraded.
         batch = small_batch()
         cache = ResultCache(tmp_path / "cache")
-        expected = serial_outcomes(batch)
-        cache.store(batch, expected)
+        cache.store(batch, serial_outcomes(batch))
         path = cache.path_for(batch)
         doc = json.loads(path.read_text())
         doc["schema"] = 2
-        doc["salt"] = cache_salt(2)
+        doc["salt"] = f"{repro.__version__}/schema2"
         del doc["digest"]
         path.write_text(json.dumps(doc))
-        # The pre-digest document still hits...
-        assert cache.load(batch) == expected
-        # ...and was rewritten as the current, attested schema.
-        upgraded = json.loads(path.read_text())
-        assert upgraded["schema"] == 3
-        assert upgraded["digest"] == outcomes_digest(expected)
+        assert cache.load(batch) is None
+        assert json.loads(path.read_text()) == doc
 
     def test_wrong_receipt_digest_is_rejected(self, monkeypatch, tmp_path):
         # A worker whose attestation does not match its outcomes is

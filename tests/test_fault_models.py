@@ -183,10 +183,10 @@ class TestCrashModel:
         d = FailureDecision.partial({1: [0], 2: []})
         assert model.charge(d) == (2, frozenset())
         assert model.crash_victims(d) == frozenset({1, 2})
-        assert model.delivers(d, 1, 0)
-        assert not model.delivers(d, 1, 3)
-        assert not model.delivers(d, 2, 0)
-        assert model.delivers(d, 3, 0)  # non-victims always deliver
+        withheld = model.withheld(d, [0, 1, 2, 3], [0, 1, 2, 3])
+        assert 0 not in withheld[1] and 3 in withheld[1]
+        assert 0 in withheld[2]
+        assert 3 not in withheld  # non-victims always deliver
 
     def test_withheld_has_entry_per_victim(self):
         model = CrashFaultModel()

@@ -6,8 +6,14 @@ import pytest
 
 from repro.adversary import BenignAdversary, RandomCrashAdversary
 from repro.errors import ConfigurationError
+from repro.harness.exec import SerialExecutor, TrialBatch, TrialSpec
+from repro.harness.exec.trial import TrialOutcome
 from repro.harness.report import Table, format_cell, render_table
-from repro.harness.runner import run_fast_trials, run_reference_trials
+from repro.harness.runner import (
+    TrialStats,
+    run_fast_trials,
+    run_reference_trials,
+)
 from repro.harness.workloads import (
     half_split,
     random_inputs,
@@ -16,7 +22,7 @@ from repro.harness.workloads import (
 )
 from repro.protocols import SynRanProtocol
 from repro.sim.batch import BatchBenign, BatchTallyAttack
-from repro.sim.batch2d import Batch2DCounts
+from repro.sim.batch2d import Batch2DPartition
 
 
 class TestWorkloads:
@@ -220,8 +226,8 @@ class TestBatchRunner:
         assert batch.decisions == reference.decisions
 
     def test_adversary_type_selects_the_engine(self):
-        # A two-axis adversary runs on Batch2DEngine; a lifted counts
-        # adversary reproduces the 1-D engine bit for bit.
+        # Counts decisions run on BatchFastEngine, mask decisions on
+        # Batch2DEngine.
         kwargs = dict(trials=6, base_seed=3)
         inputs = lambda rng: [rng.randrange(2) for _ in range(32)]
         one_d = run_fast_trials(
@@ -229,12 +235,12 @@ class TestBatchRunner:
             **kwargs,
         )
         two_d = run_fast_trials(
-            SynRanProtocol, lambda: Batch2DCounts(BatchTallyAttack(32)), 32,
-            inputs, **kwargs,
+            SynRanProtocol, lambda: Batch2DPartition(32), 32, inputs,
+            **kwargs,
         )
+        assert one_d.engine_kind == "batch"
         assert two_d.engine_kind == "batch2d"
-        assert two_d.decision_rounds == one_d.decision_rounds
-        assert two_d.crashes == one_d.crashes
+        assert one_d.structural_ok() and two_d.structural_ok()
 
     def test_batch_mode_is_deterministic(self):
         runs = [
@@ -272,4 +278,49 @@ class TestBatchRunner:
         assert not stats.checked
         with pytest.raises(ConfigurationError):
             stats.all_ok()
+        assert stats.structural_ok()
+
+
+def _outcome(index, decision, crashes, timeout=False):
+    return TrialOutcome(
+        trial_index=index,
+        seed=index,
+        rounds=3,
+        decision_round=None if timeout else 2,
+        timeout=timeout,
+        crashes=crashes,
+        decision=decision,
+    )
+
+
+class TestStructuralCheck:
+    """A trial that lost every process has nothing to decide; one whose
+    survivors disagree or never decide still fails."""
+
+    def _stats(self, *outcomes, n=4):
+        return TrialStats.from_outcomes(outcomes, engine_kind="batch", n=n)
+
+    def test_trial_without_survivor_passes(self):
+        assert self._stats(_outcome(0, 1, 2), _outcome(1, None, 4)).structural_ok()
+
+    def test_survivors_without_common_decision_fail(self):
+        assert not self._stats(_outcome(0, 1, 2), _outcome(1, None, 3)).structural_ok()
+
+    def test_timeout_fails_even_without_survivor(self):
+        assert not self._stats(_outcome(0, None, 4, timeout=True)).structural_ok()
+
+    def test_unknown_n_asks_every_trial_for_a_decision(self):
+        assert not self._stats(_outcome(0, None, 4), n=None).structural_ok()
+
+    @pytest.mark.parametrize("engine", ["reference", "batch", "batch2d"])
+    def test_budget_of_n_passes_on_every_engine(self, engine):
+        # `repro run --n 32 --t 32 --trials 5 --adversary random`: on
+        # batch2d, trial 4 crashes all 32 processes.
+        spec = TrialSpec(
+            protocol="synran", adversary="random", n=32, t=32, engine=engine
+        )
+        stats = SerialExecutor().run_batch(TrialBatch(spec=spec, trials=5))
+        assert stats.n == 32
+        if engine == "batch2d":
+            assert stats.decisions[4] is None and stats.crashes[4] == 32
         assert stats.structural_ok()

@@ -28,6 +28,8 @@ from repro.harness.exec import (
     TrialBatch,
     TrialSpec,
     make_executor,
+    plan_to_wire,
+    spec_params,
 )
 from repro.harness.resilience import CHAOS_ENV, Fault, FaultPlan, RetryPolicy
 from repro.harness.runner import TrialStats
@@ -304,6 +306,22 @@ class TestHttpService:
         )
         assert status == 400
         assert "wire" in doc["error"]
+
+    def test_parameter_no_factory_reads_is_400(self, service):
+        # Refused at submission, not quarantined chunk by chunk.
+        spec = TrialSpec(
+            protocol="floodset",
+            adversary="benign",
+            n=8,
+            t=3,
+            protocol_params=spec_params(rounds=99),
+        )
+        plan = ExecutionPlan(batches=(TrialBatch(spec=spec, trials=2),))
+        status, doc = request_json(
+            service.base_url, "POST", "/jobs", {"plan": plan_to_wire(plan)}
+        )
+        assert status == 400
+        assert "rounds" in doc["error"]
 
     def test_unknown_route_is_404(self, service):
         status, _ = request_json(service.base_url, "GET", "/nope")
