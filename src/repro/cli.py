@@ -9,11 +9,12 @@ Subcommands:
 * ``bounds`` — evaluate the paper's closed-form bounds at (n, t).
 * ``sweep`` — a (protocol, adversary, n) grid on the reference engine,
   exported as a table, CSV, or JSON.
-* ``experiments`` — the E1..E10 claim-reproduction suite (delegates
-  to :mod:`repro.harness.experiments`).
+* ``experiments`` — the E1..E14 claim-reproduction suite of
+  :mod:`repro.harness.experiments` (``python -m
+  repro.harness.experiments`` is the same command).
 * ``lint`` — the repo-specific static-analysis pass (REP001–REP008,
   including the interprocedural determinism-taint and spec-payload
-  rules; delegates to :mod:`repro.lint`).
+  rules); its arguments go to :mod:`repro.lint` unparsed.
 * ``serve`` / ``worker`` / ``submit`` — the sweep service: a job
   server with spec-hash dedup, the thin chunk-execution worker it can
   shard onto, and the client that submits a grid and renders results
@@ -285,21 +286,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.runner import main as lint_main
-
-    forwarded: List[str] = list(args.paths) + ["--format", args.format]
-    if args.select:
-        forwarded += ["--select", args.select]
-    if args.cache:
-        forwarded += ["--cache"]
-    if args.no_baseline:
-        forwarded += ["--no-baseline"]
-    if args.write_baseline:
-        forwarded += ["--write-baseline"]
-    return lint_main(forwarded)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.export import sweep_to_csv, sweep_to_json, write_text
 
@@ -358,23 +344,45 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if lost else 0
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import main as experiments_main
+def _experiment_ids(value: str) -> List[str]:
+    """One ``--only`` value: comma-separated experiment ids."""
+    from repro.harness.experiments import ALL_EXPERIMENTS
 
-    forwarded: List[str] = ["--scale", args.scale]
+    ids = [exp_id.strip() for exp_id in value.split(",") if exp_id.strip()]
+    for exp_id in ids:
+        if exp_id not in ALL_EXPERIMENTS:
+            raise argparse.ArgumentTypeError(
+                f"unknown experiment id {exp_id!r} (choose from "
+                f"{', '.join(ALL_EXPERIMENTS)})"
+            )
+    return ids
+
+
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.harness.experiments import ALL_EXPERIMENTS
+
     if args.only:
-        forwarded += ["--only", *args.only]
-    forwarded += ["--workers", str(args.workers)]
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    if args.cache_dir:
-        forwarded += ["--cache-dir", args.cache_dir]
-    forwarded += ["--retries", str(args.retries)]
-    if args.chunk_timeout is not None:
-        forwarded += ["--chunk-timeout", str(args.chunk_timeout)]
-    if args.chaos:
-        forwarded += ["--chaos", args.chaos]
-    return experiments_main(forwarded)
+        ids = list(dict.fromkeys(i for value in args.only for i in value))
+    else:
+        ids = list(ALL_EXPERIMENTS)
+    executor = _make_executor(args, cache_on=not args.no_cache)
+    try:
+        for exp_id in ids:
+            table = ALL_EXPERIMENTS[exp_id](args.scale, executor=executor)
+            print(render_table(table))
+            print()
+        if executor.cache_hits or executor.cache_misses:
+            print(
+                f"cache: {executor.cache_hits} batch hit(s), "
+                f"{executor.cache_misses} miss(es)"
+            )
+        note = resilience_note(executor)
+        if note:
+            print(note)
+    finally:
+        executor.close()
+        lost = report_quarantined(executor)
+    return 1 if lost else 0
 
 
 def _serve_forever(app: object, host: str, port: int, role: str) -> None:
@@ -657,10 +665,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     exp = sub.add_parser(
-        "experiments", help="the E1..E10 claim-reproduction suite"
+        "experiments",
+        help="the E1..E14 claim-reproduction suite",
+        description="Regenerate the paper's quantitative claims.",
     )
     exp.add_argument("--scale", choices=("quick", "full"), default="quick")
-    exp.add_argument("--only", nargs="*", default=None)
+    exp.add_argument(
+        "--only", nargs="*", type=_experiment_ids, metavar="ID[,ID...]",
+        help="subset of experiment ids to run (e.g. --only E5,E6)",
+    )
     exp.add_argument("--workers", type=int, default=1,
                      help="worker processes (1 = serial)")
     exp.add_argument("--no-cache", action="store_true",
@@ -761,28 +774,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_model_flags(submit)
     submit.set_defaults(func=_cmd_submit)
 
-    lint = sub.add_parser(
-        "lint", help="repo-specific static analysis (REP001-REP008)"
+    # Listed for --help only: main() hands `repro lint ARGS` to the
+    # linter's own parser unparsed.
+    sub.add_parser(
+        "lint",
+        add_help=False,
+        help=(
+            "repo-specific static analysis (REP001-REP008); takes the "
+            "flags of python -m repro.lint"
+        ),
     )
-    lint.add_argument("paths", nargs="*", default=["src"])
-    lint.add_argument(
-        "--format", choices=("json", "text", "sarif"), default="json"
-    )
-    lint.add_argument("--select", default=None,
-                      help="comma-separated rule ids")
-    lint.add_argument("--cache", action="store_true",
-                      help="enable the incremental analysis cache")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the checked-in baseline")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="record current findings as the baseline")
-    lint.set_defaults(func=_cmd_lint)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint.runner import main as lint_main
+
+        return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -40,41 +40,52 @@ from repro.sim.model import (
 )
 
 __all__ = [
-    "BatchSuppressionLedger",
+    "BatchBudgetLedger",
     "ReceiveOmissionFaultModel",
     "SendOmissionFaultModel",
 ]
 
 
-class BatchSuppressionLedger:
-    """Vectorized budget accounting for counts-level send-omission.
+class BatchBudgetLedger:
+    """Vectorized per-trial budget accounting for the counts-level kinds.
 
-    The counts engines cannot name pids, so the distinct-faulty budget
-    is charged as the *high-water mark* of per-round suppression: one
-    round suppressing ``k`` senders proves at least ``k`` distinct
-    faulty processes (a lower bound on the true distinct count — see
-    ``docs/model.md``).  This ledger is that rule over ``(M,)`` trial
-    vectors, shared by :class:`~repro.sim.batch.BatchFastEngine` and
-    the two-axis :class:`~repro.sim.batch2d.Batch2DEngine` so the 1-D
-    and 2-D realisations of the PR-7 model stay numerically identical.
+    Both vectorized engines charge each round's per-trial fault counts
+    here, in the mode of the fault model's ``counts_kind``:
+
+    * crash kinds charge cumulatively — a crashed process never
+      returns, so every victim spends one unit of ``t``;
+    * omission charges the *high-water mark* of per-round suppression.
+      The counts engines cannot name pids, so one round suppressing
+      ``k`` senders proves at least ``k`` distinct faulty processes (a
+      lower bound on the true distinct count — see ``docs/model.md``).
     """
 
-    def __init__(self, t: int, trials: int) -> None:
+    def __init__(
+        self, t: int, trials: int, counts_kind: str
+    ) -> None:
         if t < 0:
             raise ConfigurationError(f"budget t must be >= 0, got {t}")
         self.t = t
+        self.cumulative = counts_kind != COUNTS_OMISSION
         self.used = np.zeros(trials, dtype=np.int64)
 
-    def charge(self, suppressed: np.ndarray, what: str = "senders") -> None:
-        """Record one round's per-trial suppression counts; raises
+    def charge(self, faulty: np.ndarray) -> None:
+        """Record one round's per-trial fault counts; raises
         :class:`~repro.errors.BudgetExceededError` past the budget."""
-        self.used = np.maximum(self.used, suppressed)
-        if (self.used > self.t).any():
-            i = int(np.flatnonzero(self.used > self.t)[0])
+        if self.cumulative:
+            self.used = self.used + faulty
+        else:
+            self.used = np.maximum(self.used, faulty)
+        over = self.used > self.t
+        if over.any():
+            i = int(np.flatnonzero(over)[0])
+            spent = (
+                f"crashed {int(self.used[i])} processes in"
+                if self.cumulative
+                else f"suppressed {int(self.used[i])} senders in one round of"
+            )
             raise BudgetExceededError(
-                f"batch adversary suppressed {int(self.used[i])} "
-                f"{what} in one round of trial {i}; distinct-faulty "
-                f"budget is {self.t}"
+                f"batch adversary {spent} trial {i}; budget is {self.t}"
             )
 
 

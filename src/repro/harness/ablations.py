@@ -28,17 +28,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional
 
-from repro.errors import ConfigurationError
 from repro.harness.exec import (
     ENGINE_BATCH,
     Executor,
-    SerialExecutor,
-    TrialBatch,
     TrialSpec,
     spec_params,
 )
+from repro.harness.experiments import _check_scale, _run
 from repro.harness.report import Table
-from repro.harness.runner import TrialStats
 
 __all__ = [
     "ablation_a1_one_side_bias",
@@ -47,27 +44,6 @@ __all__ = [
     "ablation_a4_attack_modes",
     "ALL_ABLATIONS",
 ]
-
-
-def _check_scale(scale: str) -> None:
-    if scale not in ("quick", "full"):
-        raise ConfigurationError(
-            f"scale must be 'quick' or 'full', got {scale!r}"
-        )
-
-
-def _run(
-    spec: TrialSpec,
-    *,
-    trials: int,
-    base_seed: int,
-    executor: Optional[Executor] = None,
-    label: str = "",
-) -> TrialStats:
-    batch = TrialBatch(
-        spec=spec, trials=trials, base_seed=base_seed, label=label
-    )
-    return (executor or SerialExecutor()).run_batch(batch)
 
 
 # ----------------------------------------------------------------------

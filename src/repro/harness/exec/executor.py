@@ -48,8 +48,13 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 
 from repro.errors import ConfigurationError
 from repro.harness.exec.cache import ResultCache
-from repro.harness.exec.spec import ENGINE_BATCH, ExecutionPlan, TrialBatch, TrialSpec
-from repro.harness.exec.trial import TrialOutcome, compute_chunk, outcomes_digest
+from repro.harness.exec.spec import ExecutionPlan, TrialBatch, TrialSpec
+from repro.harness.exec.trial import (
+    TrialOutcome,
+    compute_chunk,
+    outcomes_digest,
+    runs_on_counts_engine,
+)
 from repro.harness.resilience import (
     AuditPolicy,
     BatchReport,
@@ -512,16 +517,17 @@ class Executor:
         geometry identical between a fresh run and a resumed one that
         only recomputes a remainder.  By default a batch splits into
         about four chunks per worker or endpoint, so stragglers
-        rebalance.  An ``engine="batch"`` batch splits into one chunk
-        per worker or endpoint instead: its engine pays a fixed cost
-        per round whatever the chunk's trial count, so every extra
-        chunk repeats that cost.
+        rebalance.  A batch that runs on the counts engine (a counts
+        attack, whether the spec names ``batch`` or ``batch2d``) splits
+        into one chunk per worker or endpoint instead: that engine pays
+        a fixed cost per round whatever the chunk's trial count, so
+        every extra chunk repeats that cost.
         """
         total = batch.trials
         size = self.chunk_size
         if size is None:
             width = self._width()
-            per_lane = 1 if batch.spec.engine == ENGINE_BATCH else 4
+            per_lane = 1 if runs_on_counts_engine(batch.spec) else 4
             size = -(-total // (width * per_lane)) if width else total
         ordered = sorted(indices)
         return [ordered[i : i + size] for i in range(0, len(ordered), size)]
@@ -557,8 +563,10 @@ class ParallelExecutor(Executor, Lane):
         cache: Optional result cache, shared with the serial path.
         chunk_size: Trials per worker task.  Default splits each batch
             into roughly ``4 * workers`` chunks so stragglers rebalance,
-            or ``workers`` chunks for an ``engine="batch"`` batch.  Any
-            value yields identical results; it only affects scheduling.
+            or ``workers`` chunks for a batch that runs on the counts
+            engine (see :func:`~repro.harness.exec.trial.runs_on_counts_engine`).
+            Any value yields identical results; it only affects
+            scheduling.
         retry: Per-chunk :class:`RetryPolicy` (default policy if
             omitted).
         chunk_timeout: Stall detector, in seconds: if *no* in-flight

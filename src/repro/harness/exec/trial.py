@@ -45,6 +45,7 @@ __all__ = [
     "outcomes_digest",
     "run_spec_batch",
     "run_spec_trial",
+    "runs_on_counts_engine",
     "vectorized_kind",
 ]
 
@@ -54,8 +55,9 @@ __all__ = [
 #: construction off the per-trial critical path.
 _SAMPLED_INPUT_KINDS = frozenset({"random"})
 
-#: XOR mask separating the input-sampling stream from the engine stream
-#: (kept from the factory-based drivers so both seed the same way).
+#: XOR mask separating the input-sampling stream from the engine
+#: stream; the factory-based drivers of :mod:`repro.harness.runner`
+#: seed with it too.
 _INPUT_STREAM_MASK = 0x5EED
 
 #: Vectorized engine kind -> engine class.  Both constructors share the
@@ -87,6 +89,22 @@ def vectorized_kind(adversary: object) -> str:
         "a vectorized engine needs a BatchFastAdversary or "
         f"Batch2DAdversary, got {type(adversary).__name__}"
     )
+
+
+def runs_on_counts_engine(spec: TrialSpec) -> bool:
+    """Whether ``spec``'s trials run on the counts engine.
+
+    True for a vectorized spec whose adversary makes counts decisions,
+    whatever kind the spec names (:func:`vectorized_kind`).  A spec
+    whose adversary cannot be built is left to fail in its chunks,
+    where the executor reports it.
+    """
+    if spec.engine not in BATCH_ENGINES:
+        return False
+    try:
+        return vectorized_kind(build_batch_adversary(spec)) == ENGINE_BATCH
+    except Exception:  # the chunk raises it again, with its context
+        return False
 
 
 @dataclass(frozen=True)

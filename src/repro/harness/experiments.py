@@ -1,4 +1,4 @@
-"""The per-claim experiment suite (E1..E10).
+"""The per-claim experiment suite (E1..E14).
 
 The paper has no empirical section; its evaluation *is* its theorem
 statements.  Each ``experiment_*`` function here regenerates the
@@ -13,7 +13,8 @@ Every trial-running experiment describes its work as
 :class:`~repro.harness.exec.spec.TrialSpec` batches and accepts an
 optional ``executor`` (see :mod:`repro.harness.exec`), so the whole
 suite parallelises and resumes from the result cache with no
-per-experiment code.  Run everything from the command line::
+per-experiment code.  Run everything from the command line (the same
+command as ``python -m repro experiments``)::
 
     python -m repro.harness.experiments [--scale quick|full]
         [--only E5,E6] [--workers N] [--no-cache] [--cache-dir DIR]
@@ -22,10 +23,9 @@ per-experiment code.  Run everything from the command line::
 
 from __future__ import annotations
 
-import argparse
 import math
-import os
 import random
+import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro._math import (
@@ -62,20 +62,12 @@ from repro.errors import ConfigurationError
 from repro.harness.exec import (
     ENGINE_BATCH,
     Executor,
-    ResultCache,
     SerialExecutor,
     TrialBatch,
     TrialSpec,
-    make_executor,
     spec_params,
 )
-from repro.harness.report import (
-    Table,
-    render_table,
-    report_quarantined,
-    resilience_note,
-)
-from repro.harness.resilience import CHAOS_ENV, FaultPlan, RetryPolicy
+from repro.harness.report import Table
 from repro.harness.runner import TrialStats
 from repro.protocols import SynRanProtocol
 
@@ -1144,119 +1136,12 @@ ALL_EXPERIMENTS: Dict[str, Callable[..., Table]] = {
 }
 
 
-def _experiment_order(exp_id: str) -> int:
-    return int(exp_id[1:])
-
-
-def parse_only(parser: argparse.ArgumentParser, chunks: Sequence[str]) -> List[str]:
-    """Expand ``--only`` values, accepting comma-separated ids."""
-    ids: List[str] = []
-    for chunk in chunks:
-        for exp_id in chunk.split(","):
-            exp_id = exp_id.strip()
-            if not exp_id:
-                continue
-            if exp_id not in ALL_EXPERIMENTS:
-                parser.error(
-                    f"unknown experiment id {exp_id!r} (choose from "
-                    + ", ".join(
-                        sorted(ALL_EXPERIMENTS, key=_experiment_order)
-                    )
-                    + ")"
-                )
-            if exp_id not in ids:
-                ids.append(exp_id)
-    return ids
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Render the requested experiments to stdout.
+    """``python -m repro.harness.experiments ARGS``: the same command as
+    ``python -m repro experiments ARGS`` (see :mod:`repro.cli`)."""
+    from repro.cli import main as cli_main
 
-    Returns 1 when a quarantined chunk left trials missing (each such
-    chunk gets an ``error:`` line on stderr), else 0.
-    """
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's quantitative claims."
-    )
-    parser.add_argument(
-        "--scale", choices=("quick", "full"), default="quick"
-    )
-    parser.add_argument(
-        "--only",
-        nargs="*",
-        metavar="ID[,ID...]",
-        help="subset of experiment ids to run (e.g. --only E5,E6)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for trial batches (1 = serial)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every batch instead of using the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory (default: .repro-cache)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="retries per failed chunk before quarantine (default: 2)",
-    )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        help="stall-detector window in seconds (default: wait forever)",
-    )
-    parser.add_argument(
-        "--chaos",
-        default=None,
-        metavar="PLAN.json",
-        help="fault-plan JSON to inject (chaos testing)",
-    )
-    args = parser.parse_args(argv)
-    if args.only:
-        ids = parse_only(parser, args.only)
-    else:
-        ids = sorted(ALL_EXPERIMENTS, key=_experiment_order)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    fault_plan = None
-    if args.chaos:
-        # The environment variable is what pool workers inherit; the
-        # loaded plan covers in-process execution and cache corruption.
-        os.environ[CHAOS_ENV] = args.chaos
-        fault_plan = FaultPlan.load(args.chaos)
-    executor = make_executor(
-        args.workers,
-        cache=cache,
-        retry=RetryPolicy(max_attempts=args.retries + 1),
-        chunk_timeout=args.chunk_timeout,
-        fault_plan=fault_plan,
-    )
-    try:
-        for exp_id in ids:
-            table = ALL_EXPERIMENTS[exp_id](args.scale, executor=executor)
-            print(render_table(table))
-            print()
-        if executor.cache_hits or executor.cache_misses:
-            print(
-                f"cache: {executor.cache_hits} batch hit(s), "
-                f"{executor.cache_misses} miss(es)"
-            )
-        note = resilience_note(executor)
-        if note:
-            print(note)
-    finally:
-        executor.close()
-        lost = report_quarantined(executor)
-    return 1 if lost else 0
+    return cli_main(["experiments", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from repro.harness.exec.spec import (
     derive_trial_seed,
 )
 from repro.harness.exec.trial import (
+    _INPUT_STREAM_MASK,
     BATCH_ENGINES,
     TrialOutcome,
     batch_outcomes,
@@ -48,8 +49,6 @@ from repro.harness.exec.trial import (
 from repro.sim.model import Verdict
 
 __all__ = ["TrialStats", "run_reference_trials", "run_fast_trials"]
-
-_INPUT_STREAM_MASK = 0x5EED
 
 
 @dataclass

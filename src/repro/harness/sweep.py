@@ -27,7 +27,7 @@ counterpart for users exploring their own configurations, e.g.::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.bounds import expected_rounds_theta
 from repro.errors import ConfigurationError
@@ -40,13 +40,8 @@ from repro.harness.exec import (
     available_input_kinds,
 )
 from repro.harness.runner import TrialStats
-from repro.harness.workloads import half_split, worst_case_split
 
 __all__ = ["Sweep", "SweepResult", "run_sweep", "sweep_plan"]
-
-#: Input factories accepted (for backwards compatibility) in place of
-#: the named kinds the spec layer uses.
-_INPUT_CALLABLES = {worst_case_split: "worst", half_split: "half"}
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,7 @@ class Sweep:
         base_seed: Seed root; every cell derives its own stream from
             its spec's content hash.
         inputs: Input-workload kind (``"worst"``, ``"half"``,
-            ``"unanimous0"``, ``"unanimous1"``, ``"random"``).  The
-            :func:`~repro.harness.workloads.worst_case_split` and
-            :func:`~repro.harness.workloads.half_split` callables are
-            still accepted as aliases for their named kinds.
+            ``"unanimous0"``, ``"unanimous1"``, ``"random"``).
         max_rounds_of: Horizon as a function of ``n`` (default: the
             engine default).
         fault_model: Registered fault-model name shared by every cell
@@ -82,7 +74,7 @@ class Sweep:
     t_of: Callable[[int], int]
     trials: int = 5
     base_seed: int = 0
-    inputs: Union[str, Callable[[int], Sequence[int]]] = "worst"
+    inputs: str = "worst"
     max_rounds_of: Optional[Callable[[int], int]] = None
     fault_model: str = "crash"
     fault_model_params: Tuple[Tuple[str, object], ...] = ()
@@ -97,22 +89,13 @@ class Sweep:
         ]
 
     def input_kind(self) -> str:
-        """The spec-layer input kind this sweep resolves to."""
-        if isinstance(self.inputs, str):
-            if self.inputs not in available_input_kinds():
-                raise ConfigurationError(
-                    f"unknown input kind {self.inputs!r}; available: "
-                    f"{available_input_kinds()}"
-                )
-            return self.inputs
-        try:
-            return _INPUT_CALLABLES[self.inputs]
-        except (KeyError, TypeError):
+        """The spec-layer input kind this sweep names (checked)."""
+        if self.inputs not in available_input_kinds():
             raise ConfigurationError(
-                "sweep inputs must be a named kind "
-                f"({available_input_kinds()}) or one of the workload "
-                "factories worst_case_split/half_split"
-            ) from None
+                f"unknown input kind {self.inputs!r}; available: "
+                f"{available_input_kinds()}"
+            )
+        return self.inputs
 
 
 @dataclass

@@ -39,7 +39,6 @@ Two durability/bounding layers are optional:
 from __future__ import annotations
 
 import concurrent.futures
-import inspect
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -264,7 +263,7 @@ class _ObservedCache(ResultCache):
         return path
 
 
-ExecutorFactory = Callable[..., Executor]
+ExecutorFactory = Callable[[Optional[ResultCache], str], Executor]
 
 
 class JobManager:
@@ -446,21 +445,6 @@ class JobManager:
 
     # -- execution -----------------------------------------------------
 
-    def _build_executor(
-        self, cache: Optional[ResultCache], key: str
-    ) -> Executor:
-        """Invoke the factory, passing the plan key when it takes one.
-
-        The two-argument form lets the server seed per-job audit
-        selection; single-argument factories (tests, simple callers)
-        keep working unchanged.
-        """
-        try:
-            inspect.signature(self._factory).bind(cache, key)
-        except TypeError:
-            return self._factory(cache)
-        return self._factory(cache, key)
-
     def _run(self, job: Job) -> None:
         job.mark_running()
         cache = (
@@ -468,7 +452,7 @@ class JobManager:
             if self._cache_root is not None
             else None
         )
-        executor = self._build_executor(cache, job.key)
+        executor = self._factory(cache, job.key)
         error: Optional[str] = None
         try:
             if self._journal is not None:

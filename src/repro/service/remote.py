@@ -186,7 +186,10 @@ class RemoteExecutor(Executor):
             are checkpointed locally exactly as the other executors do.
         chunk_size: Trials per worker request (default: split each
             batch into roughly ``4 * len(endpoints)`` chunks, or
-            ``len(endpoints)`` chunks for an ``engine="batch"`` batch).
+            ``len(endpoints)`` chunks for a batch that runs on the
+            counts engine, as
+            :func:`~repro.harness.exec.trial.runs_on_counts_engine`
+            decides).
         retry: The shared :class:`RetryPolicy`; ``max_attempts`` and
             the backoff schedule govern chunk re-dispatch, and
             ``pool_failure_limit`` sets both the consecutive-failure

@@ -50,19 +50,15 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._math import deterministic_stage_threshold
-from repro.errors import (
-    BudgetExceededError,
-    ConfigurationError,
-    TerminationViolation,
-)
+from repro.errors import ConfigurationError, TerminationViolation
 from repro.faultmodels.late import LagRing
-from repro.faultmodels.omission import BatchSuppressionLedger
+from repro.faultmodels.omission import BatchBudgetLedger
 from repro.faultmodels.registry import resolve_fault_model
 from repro.protocols.synran import SynRanProtocol
 from repro.sim.engine import default_max_rounds
@@ -80,6 +76,7 @@ __all__ = [
     "BatchTallyAttack",
     "BatchValencyKeeper",
     "FastResult",
+    "VectorizedEngine",
 ]
 
 #: Integer stage codes (``stage`` array values); order matches the
@@ -544,20 +541,158 @@ class BatchResult:
         )
 
 
-class BatchFastEngine:
-    """Vectorized executor advancing M trials per round in lockstep.
+def _snapshot(view):
+    """``view`` with every array copied (the engines mutate their live
+    arrays as the round executes)."""
+    return replace(
+        view,
+        **{
+            f.name: getattr(view, f.name).copy()
+            for f in fields(view)
+            if isinstance(getattr(view, f.name), np.ndarray)
+        },
+    )
+
+
+class _Run:
+    """One run's scaffold over M trials: keys, ledger, horizon, lagged
+    views and the per-round histories (see :class:`VectorizedEngine`).
+
+    ``received[r]`` is every trial's common delivered count of round
+    ``r`` (the protocol's ``N^r`` while a trial is probabilistic); the
+    views serve it as ``received_history``.
+    """
+
+    def __init__(self, engine: "VectorizedEngine", seeds: Sequence[int]):
+        M = len(seeds)
+        if M < 1:
+            raise ConfigurationError("need at least one trial seed")
+        # Per trial: master = Random(seed); coins <- getrandbits(64);
+        # adversary <- getrandbits(64).
+        coin_raw = np.empty(M, dtype=np.uint64)
+        adversary_seeds: List[int] = []
+        for i, seed in enumerate(seeds):
+            master = random.Random(int(seed))
+            coin_raw[i] = master.getrandbits(64)
+            adversary_seeds.append(master.getrandbits(64))
+        engine.adversary.reset(engine.n, adversary_seeds)
+        self.engine = engine
+        self.coin_keys = stream_keys(coin_raw)
+        # Each round's coin block is (n + 63) // 64 hash words wide, so
+        # round r draws at counters [r * stride, (r + 1) * stride).
+        self.coin_stride = (engine.n + 63) // 64
+        self.ledger = BatchBudgetLedger(
+            engine.adversary.t, M, engine.fault_model.counts_kind
+        )
+        self.ring: LagRing = LagRing(engine.fault_model.lag)
+        self.active = np.ones(M, dtype=bool)
+        self.rounds = np.zeros(M, dtype=np.int64)
+        self.decision_round = np.full(M, -1, dtype=np.int64)
+        self.received: List[np.ndarray] = []
+        self._faulty: List[np.ndarray] = []
+        self._senders: List[np.ndarray] = []
+
+    def round_indices(self) -> Iterator[int]:
+        """Round indices while any trial is active.  At the horizon,
+        raise under ``strict_termination``; otherwise the unfinished
+        trials end with ``rounds = max_rounds`` undecided."""
+        engine = self.engine
+        r = 0
+        while self.active.any():
+            if r >= engine.max_rounds:
+                if engine.strict_termination:
+                    raise TerminationViolation(
+                        f"{int(self.active.sum())} of {self.active.size} "
+                        f"trials undecided after {engine.max_rounds} "
+                        f"rounds ({type(engine).__name__})"
+                    )
+                self.rounds[self.active] = engine.max_rounds
+                return
+            yield r
+            r += 1
+
+    def budget_remaining(self) -> np.ndarray:
+        """Each trial's unspent budget, as the views serve it."""
+        return self.ledger.t - self.ledger.used
+
+    def adversary_view(self, view):
+        """The view the adversary may see: ``view`` itself, or under a
+        positive lag the snapshot of round ``max(0, r - lag)`` with
+        today's budget and active trials.  The snapshot's own history
+        is the history cut at that round."""
+        if not self.ring.lag:
+            return view
+        self.ring.push(_snapshot(view))
+        return replace(
+            self.ring.stale(view.round_index),
+            budget_remaining=view.budget_remaining,
+            active=view.active,
+        )
+
+    def charge(self, faulty: np.ndarray, senders: np.ndarray) -> None:
+        """Charge one round's per-trial fault counts to the budget and
+        record them with the round's sender counts."""
+        self.ledger.charge(faulty)
+        self._faulty.append(faulty)
+        self._senders.append(senders)
+
+    def finish(self, done: np.ndarray, r: int) -> None:
+        """The trials in ``done`` ended in round ``r``."""
+        self.decision_round[done] = r
+        self.rounds[done] = r + 1
+        self.active &= ~done
+
+    def result(self, decision: np.ndarray) -> BatchResult:
+        """The run as a :class:`BatchResult`, given each trial's common
+        decision (``-1`` for none)."""
+        M = self.active.size
+        crashes, senders = np.array(
+            [self._faulty, self._senders], dtype=np.int64
+        ).reshape(2, -1, M)
+        used = self.ledger.used
+        return BatchResult(
+            rounds=self.rounds,
+            decision_round=self.decision_round,
+            decision=decision,
+            crashes_used=used,
+            # Crash kinds remove each victim once; omission kills none.
+            survivors=(
+                self.engine.n - used
+                if self.ledger.cumulative
+                else np.full(M, self.engine.n, dtype=np.int64)
+            ),
+            terminated=self.decision_round >= 0,
+            crashes_per_round=crashes,
+            senders_per_round=senders,
+        )
+
+
+class VectorizedEngine:
+    """The run scaffold of both vectorized engines.
+
+    :class:`BatchFastEngine` (counts decisions) and
+    :class:`~repro.sim.batch2d.Batch2DEngine` (mask decisions) keep only
+    their state arrays and round transition; everything around the
+    round step exists here once:
+
+    * the constructor contract below;
+    * input validation (:meth:`_input_bits`);
+    * per-trial keying: ``random.Random(seed)`` yields the coin key,
+      then the adversary seed, then the adversary is reset;
+    * the horizon, the budget ledger, lagged views and result assembly
+      (one :class:`_Run` per call).
 
     Args:
         protocol: A :class:`SynRanProtocol` (or subclass) instance; its
             thresholds/knobs configure the engine, so the constants and
             ablation knobs carry over unchanged.
-        adversary: A :class:`BatchFastAdversary`.  The budget ``t`` is
+        adversary: The engine's adversary.  The budget ``t`` is
             enforced independently per trial.
         n: Number of processes per trial.
         max_rounds: Horizon; ``None`` selects the engine default.
         strict_termination: Raise on horizon instead of flagging.
         fault_model: Failure regime (name, instance, or ``None`` for
-            ``crash``).  The engine consumes only the model's
+            ``crash``).  The engines consume only the model's
             ``counts_kind`` and ``lag``: crash kinds shrink the
             population, omission kinds suppress broadcasts for a round
             without shrinking it (budget = per-round suppression
@@ -567,16 +702,19 @@ class BatchFastEngine:
             ``counts_kind`` is ``None`` (e.g. ``receive-omission``)
             cannot collapse to uniform counts and are rejected.
 
-    There is no ``sanitizer`` knob: the batch engine keeps no
-    per-process state for the sanitizer to audit.  Seeds are passed to
-    :meth:`run` per trial, not at construction, because one engine
-    instance executes many differently-seeded trials at once.
+    There is no ``sanitizer`` knob: the engines enforce their own
+    contract.  Seeds are passed per run, not at construction, because
+    one engine instance executes many differently-seeded trials at
+    once.
     """
+
+    #: What a rejected fault model (``counts_kind`` is ``None``) lacks.
+    _unrealised = "counts-level realisation (counts_kind is None)"
 
     def __init__(
         self,
         protocol: SynRanProtocol,
-        adversary: BatchFastAdversary,
+        adversary,
         n: int,
         *,
         max_rounds: Optional[int] = None,
@@ -585,8 +723,8 @@ class BatchFastEngine:
     ) -> None:
         if not isinstance(protocol, SynRanProtocol):
             raise ConfigurationError(
-                "BatchFastEngine supports SynRanProtocol configurations; "
-                f"got {type(protocol).__name__}"
+                f"{type(self).__name__} supports SynRanProtocol "
+                f"configurations; got {type(protocol).__name__}"
             )
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
@@ -605,11 +743,34 @@ class BatchFastEngine:
         if self.fault_model.counts_kind is None:
             raise ConfigurationError(
                 f"fault model {self.fault_model.name!r} has no "
-                "counts-level realisation (counts_kind is None); use "
-                "the reference engine"
+                f"{self._unrealised}; use the reference engine"
             )
 
-    # ------------------------------------------------------------------
+    def _input_bits(
+        self, inputs: Union[Sequence[int], np.ndarray], trials: int
+    ) -> np.ndarray:
+        """``inputs`` checked: one ``(n,)`` bit vector shared by every
+        trial or a ``(trials, n)`` matrix of per-trial vectors."""
+        bits = np.asarray(inputs)
+        if not np.isin(bits, (0, 1)).all():
+            raise ConfigurationError("inputs must be bits")
+        if bits.ndim not in (1, 2):
+            raise ConfigurationError(
+                f"inputs must be 1- or 2-dimensional, got {bits.ndim}"
+            )
+        expected = (self.n,) if bits.ndim == 1 else (trials, self.n)
+        if bits.shape != expected:
+            raise ConfigurationError(
+                f"expected inputs of shape {expected}, got {bits.shape}"
+            )
+        return bits
+
+
+class BatchFastEngine(VectorizedEngine):
+    """Vectorized executor advancing M trials per round in lockstep,
+    each trial two counts; the adversary is a
+    :class:`BatchFastAdversary` (see :class:`VectorizedEngine` for the
+    constructor)."""
 
     def run(
         self,
@@ -621,28 +782,9 @@ class BatchFastEngine:
         ``inputs`` is either one ``(n,)`` bit vector shared by every
         trial or an ``(M, n)`` matrix of per-trial bit vectors.
         """
-        bits = np.asarray(inputs, dtype=np.int64)
-        if not np.isin(bits, (0, 1)).all():
-            raise ConfigurationError("inputs must be bits")
         M = len(seeds)
-        if bits.ndim == 1:
-            if bits.shape[0] != self.n:
-                raise ConfigurationError(
-                    f"expected {self.n} inputs, got {bits.shape[0]}"
-                )
-            ones0 = np.full(M, int(bits.sum()), dtype=np.int64)
-        elif bits.ndim == 2:
-            if bits.shape != (M, self.n):
-                raise ConfigurationError(
-                    f"expected inputs of shape ({M}, {self.n}), got "
-                    f"{bits.shape}"
-                )
-            ones0 = bits.sum(axis=1, dtype=np.int64)
-        else:
-            raise ConfigurationError(
-                f"inputs must be 1- or 2-dimensional, got {bits.ndim}"
-            )
-        return self.run_counts(ones0, seeds)
+        ones = self._input_bits(inputs, M).sum(axis=-1, dtype=np.int64)
+        return self.run_counts(np.broadcast_to(ones, (M,)), seeds)
 
     def run_counts(
         self, ones0: Union[Sequence[int], np.ndarray], seeds: Sequence[int]
@@ -655,8 +797,6 @@ class BatchFastEngine:
         proto = self.protocol
         n = self.n
         M = len(seeds)
-        if M < 1:
-            raise ConfigurationError("need at least one trial seed")
         ones = np.asarray(ones0, dtype=np.int64).copy()
         if ones.shape != (M,):
             raise ConfigurationError(
@@ -667,62 +807,26 @@ class BatchFastEngine:
                 f"initial 1-counts must be in [0, {n}]"
             )
         zeros = n - ones
+        run = _Run(self, seeds)
+        active = run.active
 
-        # Per-trial stream keys: master = Random(seed);
-        # coins <- getrandbits(64); adversary <- getrandbits(64).
-        coin_raw = np.empty(M, dtype=np.uint64)
-        adv_seeds: List[int] = []
-        for i, seed in enumerate(seeds):
-            master = random.Random(int(seed))
-            coin_raw[i] = master.getrandbits(64)
-            adv_seeds.append(master.getrandbits(64))
-        coin_keys = stream_keys(coin_raw)
-        self.adversary.reset(n, adv_seeds)
-
-        t = self.adversary.t
         stage = np.full(M, STAGE_PROBABILISTIC, dtype=np.int8)
         tent = np.zeros(M, dtype=bool)
-        active = np.ones(M, dtype=bool)
-        budget_used = np.zeros(M, dtype=np.int64)
         det_rounds_done = np.zeros(M, dtype=np.int64)
         det_has0 = np.zeros(M, dtype=bool)
         det_has1 = np.zeros(M, dtype=bool)
-        decision_round = np.full(M, -1, dtype=np.int64)
         decision = np.full(M, -1, dtype=np.int64)
-        rounds = np.zeros(M, dtype=np.int64)
 
-        hist: List[np.ndarray] = []
-        crashes_hist: List[np.ndarray] = []
-        senders_hist: List[np.ndarray] = []
         omission = self.fault_model.counts_kind == COUNTS_OMISSION
-        ledger = BatchSuppressionLedger(t, M) if omission else None
         lag = self.fault_model.lag
-        # With a lagged adversary, per-round count snapshots are kept so
-        # round r can be served the self-consistent view of round r-lag.
-        ring: LagRing[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = LagRing(lag)
 
         def received(j: int) -> np.ndarray:
-            return np.full(M, n, dtype=np.int64) if j < 0 else hist[j]
+            return np.full(M, n, dtype=np.int64) if j < 0 else run.received[j]
 
         threshold = deterministic_stage_threshold(n)
         det_total = proto.det_stage_rounds(n)
-        # Each round's coin block is (n + 63) // 64 hash words wide, so
-        # round r draws at counters [r * stride, (r + 1) * stride).
-        coin_stride = (n + 63) // 64
 
-        r = 0
-        while active.any():
-            if r >= self.max_rounds:
-                if self.strict_termination:
-                    raise TerminationViolation(
-                        f"{int(active.sum())} of {M} trials undecided "
-                        f"after {self.max_rounds} rounds (batch engine)"
-                    )
-                rounds[active] = self.max_rounds
-                break
-
+        for r in run.round_indices():
             p = ones + zeros  # inactive trials hold 0
             view = BatchFastView(
                 round_index=r,
@@ -732,37 +836,11 @@ class BatchFastEngine:
                 ones=ones,
                 zeros=zeros,
                 tentative=np.where(tent, p, 0),
-                budget_remaining=t - budget_used,
-                received_history=tuple(hist),
+                budget_remaining=run.budget_remaining(),
+                received_history=tuple(run.received),
                 active=active,
             )
-            if lag:
-                ring.push(
-                    (
-                        stage.copy(),
-                        p.copy(),
-                        ones.copy(),
-                        zeros.copy(),
-                        np.where(tent, p, 0),
-                    )
-                )
-                j = ring.stale_round(r)
-                s_stage, s_p, s_ones, s_zeros, s_tent = ring.stale(r)
-                adv_view = BatchFastView(
-                    round_index=j,
-                    n=n,
-                    stage=s_stage,
-                    senders=s_p,
-                    ones=s_ones,
-                    zeros=s_zeros,
-                    tentative=s_tent,
-                    budget_remaining=t - budget_used,
-                    received_history=tuple(hist[:j]),
-                    active=active,
-                )
-            else:
-                adv_view = view
-            k1, k0 = self.adversary.choose(adv_view)
+            k1, k0 = self.adversary.choose(run.adversary_view(view))
             k1 = np.where(active, np.asarray(k1, dtype=np.int64), 0)
             k0 = np.where(active, np.asarray(k0, dtype=np.int64), 0)
             if lag:
@@ -779,27 +857,12 @@ class BatchFastEngine:
                     f"({int(k1[i])}, {int(k0[i])}) for trial {i} with "
                     f"ones={int(ones[i])}, zeros={int(zeros[i])}"
                 )
-            if omission:
-                # Budget = high-water mark of per-round suppression: a
-                # lower bound on distinct omission-faulty processes
-                # (pids are anonymous at counts level).
-                ledger.charge(k1 + k0)
-                budget_used = ledger.used
-            else:
-                budget_used = budget_used + k1 + k0
-                if (budget_used > t).any():
-                    i = int(np.flatnonzero(budget_used > t)[0])
-                    raise BudgetExceededError(
-                        f"batch adversary used {int(budget_used[i])} crashes "
-                        f"in trial {i}, budget is {t}"
-                    )
-            crashes_hist.append(k1 + k0)
-            senders_hist.append(p.copy())
+            run.charge(k1 + k0, p)
 
             d1 = ones - k1
             d0 = zeros - k0
             delivered = d1 + d0
-            hist.append(delivered.copy())
+            run.received.append(delivered)
 
             if omission:
                 # Population preserved: suppressed senders keep their
@@ -831,7 +894,6 @@ class BatchFastEngine:
             # A stopped trial decides its frozen uniform bit; tentative
             # implies all senders agreed, so ones > 0 <=> that bit is 1.
             decision[stopped] = (d1[stopped] > 0).astype(np.int64)
-            decision_round[stopped] = r
             tent[stop_candidates] = False
 
             # Threshold cascade: the first matching branch wins, as in
@@ -863,8 +925,8 @@ class BatchFastEngine:
                 tent[b_dec1 | b_dec0] = True
                 if coin.any():
                     heads = fair_binomial(
-                        coin_keys,
-                        r * coin_stride,
+                        run.coin_keys,
+                        r * run.coin_stride,
                         np.where(coin, pop, 0),
                     )
                     ones[coin] = heads[coin]
@@ -888,46 +950,15 @@ class BatchFastEngine:
             decision[finish] = np.where(
                 det_has0[finish], 0, np.where(det_has1[finish], 1, 0)
             )
-            decision_round[finish] = r
 
             # A trial whose every process has crashed terminates with
-            # no decision but a decision_round.
-            # Omission never kills, so no trial dies under it.
-            if omission:
-                dead = np.zeros(M, dtype=bool)
-            else:
-                dead = active & (delivered == 0) & ~stopped & ~finish
-            decision_round[dead] = r
-
-            done = stopped | finish | dead
-            rounds[done] = r + 1
-            active &= ~done
+            # no decision but a decision_round.  Omission never kills,
+            # so no trial dies under it.
+            done = stopped | finish
+            if not omission:
+                done |= active & (delivered == 0)
+            run.finish(done, r)
             ones[done] = 0
             zeros[done] = 0
-            r += 1
 
-        horizon = len(crashes_hist)
-        crashes = (
-            np.stack(crashes_hist)
-            if horizon
-            else np.zeros((0, M), dtype=np.int64)
-        )
-        senders = (
-            np.stack(senders_hist)
-            if horizon
-            else np.zeros((0, M), dtype=np.int64)
-        )
-        return BatchResult(
-            rounds=rounds,
-            decision_round=decision_round,
-            decision=decision,
-            crashes_used=budget_used,
-            survivors=(
-                np.full(M, n, dtype=np.int64)
-                if omission
-                else n - budget_used
-            ),
-            terminated=decision_round >= 0,
-            crashes_per_round=crashes,
-            senders_per_round=senders,
-        )
+        return run.result(decision)

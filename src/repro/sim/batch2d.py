@@ -20,53 +20,43 @@ is the paper's view-splitting move, inexpressible at counts level
 with the same tallies and run on the counts engine instead; the
 harness picks the engine from the adversary's decision form.
 
-Fault realisations follow the 1-D engine: crash kinds remove victims,
-omission kinds suppress broadcasts while preserving the population
-(budgeted by the shared
-:class:`~repro.faultmodels.omission.BatchSuppressionLedger` high-water
-rule), and a positive ``lag`` serves the adversary a stale snapshot via
-:class:`~repro.faultmodels.late.LagRing`.  Models with no counts
-realisation (``receive-omission``) are rejected: a per-receiver *inbox*
-mask is still out of scope (the delivery mask here is per *sender
-class*, not per pair).
+Both engines subclass :class:`~repro.sim.batch.VectorizedEngine`, so
+the constructor checks, input validation, seed derivation and coin
+stride, the horizon, the budget ledger, lagged views and result
+assembly are one code path, not two copies.  Crash kinds remove
+victims, omission kinds suppress broadcasts while preserving the
+population, and a positive ``lag`` serves the adversary a stale
+snapshot.  Models with no counts realisation (``receive-omission``)
+are rejected: a per-receiver *inbox* mask is still out of scope (the
+delivery mask here is per *sender class*, not per pair).
 
-Randomness, seed derivation, and the coin-stride layout are byte-for-
-byte those of the 1-D batch engine: flipping receivers are assigned
-the round's hash bits in pid order (rank ``j`` reads bit ``j`` of the
-round's word block, precisely the bit set
-:func:`repro.sim.streams.fair_binomial` popcounts), so silent masks
-that crash the first ``k`` members of each bit class reproduce a
+Flipping receivers are assigned the round's hash bits in pid order
+(rank ``j`` reads bit ``j`` of the round's word block, precisely the
+bit set :func:`repro.sim.streams.fair_binomial` popcounts), so silent
+masks that crash the first ``k`` members of each bit class reproduce a
 counts adversary's trajectories bit for bit.
 """
 
 from __future__ import annotations
 
 import abc
-import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import (
-    BudgetExceededError,
-    ConfigurationError,
-    TerminationViolation,
-)
-from repro.faultmodels.late import LagRing
-from repro.faultmodels.omission import BatchSuppressionLedger
-from repro.faultmodels.registry import resolve_fault_model
-from repro.protocols.synran import SynRanProtocol
+from repro._math import deterministic_stage_threshold
+from repro.errors import ConfigurationError
 from repro.sim.batch import (
     STAGE_DETERMINISTIC,
     STAGE_PROBABILISTIC,
     STAGE_SYNC,
     BatchResult,
+    VectorizedEngine,
+    _Run,
 )
-from repro.sim.engine import default_max_rounds
-from repro.sim.model import COUNTS_OMISSION, FaultModel
-from repro.sim.streams import counter_words, stream_keys
-from repro._math import deterministic_stage_threshold
+from repro.sim.model import COUNTS_OMISSION
+from repro.sim.streams import counter_words
 
 __all__ = [
     "Batch2DAdversary",
@@ -96,7 +86,7 @@ class Batch2DView:
 
     Per-process fields are ``(M, n)`` arrays, per-trial aggregates are
     ``(M,)``; all are snapshots or live references the adversary must
-    not mutate.  ``received_totals[r]`` is the per-trial count of
+    not mutate.  ``received_history[r]`` is the per-trial count of
     messages every receiver of round ``r`` saw (the common, unmasked
     deliveries) — the tally history of the 1-D engine while no
     delivery mask split a round, and the conservative lower envelope
@@ -113,14 +103,14 @@ class Batch2DView:
     trial_stage: np.ndarray
     sender_count: np.ndarray
     budget_remaining: np.ndarray
-    received_totals: Tuple[np.ndarray, ...]
+    received_history: Tuple[np.ndarray, ...]
     active: np.ndarray
 
     def received_count(self, round_index: int) -> np.ndarray:
         """``(M,)`` array of ``N^r`` with ``N^{-1} = N^0 = n``."""
         if round_index < 0:
             return np.full(self.sender_count.shape, self.n, dtype=np.int64)
-        return self.received_totals[round_index]
+        return self.received_history[round_index]
 
 
 class Batch2DAdversary(abc.ABC):
@@ -196,14 +186,12 @@ def _row_count(mask: np.ndarray) -> np.ndarray:
     return mask.sum(axis=1, dtype=np.int32).astype(np.int64)
 
 
-class Batch2DEngine:
+class Batch2DEngine(VectorizedEngine):
     """Two-axis vectorized executor: M trials × n processes per op.
 
-    Constructor contract mirrors
-    :class:`~repro.sim.batch.BatchFastEngine` (protocol instance as
-    configuration, per-trial budget enforcement, fault model resolved
-    by name, no sanitizer, seeds passed to :meth:`run`); the adversary
-    is a :class:`Batch2DAdversary`.
+    The constructor and run scaffold are
+    :class:`~repro.sim.batch.VectorizedEngine`'s; the adversary is a
+    :class:`Batch2DAdversary`.
 
     Per-process state (bits, stages, flags, decisions) is always
     ``(M, n)``.  The per-receiver tallies (the round's ones and zeros
@@ -217,44 +205,10 @@ class Batch2DEngine:
     both shapes through the same code.
     """
 
-    def __init__(
-        self,
-        protocol: SynRanProtocol,
-        adversary: Batch2DAdversary,
-        n: int,
-        *,
-        max_rounds: Optional[int] = None,
-        strict_termination: bool = True,
-        fault_model: Union[str, FaultModel, None] = None,
-    ) -> None:
-        if not isinstance(protocol, SynRanProtocol):
-            raise ConfigurationError(
-                "Batch2DEngine supports SynRanProtocol configurations; "
-                f"got {type(protocol).__name__}"
-            )
-        if n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {n}")
-        if adversary.t > n:
-            raise ConfigurationError(
-                f"adversary budget t={adversary.t} exceeds n={n}"
-            )
-        self.protocol = protocol
-        self.adversary = adversary
-        self.n = n
-        self.max_rounds = (
-            default_max_rounds(n) if max_rounds is None else max_rounds
-        )
-        self.strict_termination = strict_termination
-        self.fault_model: FaultModel = resolve_fault_model(fault_model)
-        if self.fault_model.counts_kind is None:
-            raise ConfigurationError(
-                f"fault model {self.fault_model.name!r} has no "
-                "grid realisation on the 2-D engine (its delivery mask "
-                "is per sender class, not per pair); use the reference "
-                "engine"
-            )
-
-    # ------------------------------------------------------------------
+    _unrealised = (
+        "grid realisation on the 2-D engine (its delivery mask is per "
+        "sender class, not per pair)"
+    )
 
     def run(
         self,
@@ -269,39 +223,12 @@ class Batch2DEngine:
         proto = self.protocol
         n = self.n
         M = len(seeds)
-        if M < 1:
-            raise ConfigurationError("need at least one trial seed")
-        bits = np.asarray(inputs, dtype=np.int8)
-        if not np.isin(bits, (0, 1)).all():
-            raise ConfigurationError("inputs must be bits")
-        if bits.ndim == 1:
-            if bits.shape[0] != n:
-                raise ConfigurationError(
-                    f"expected {n} inputs, got {bits.shape[0]}"
-                )
-            b = np.tile(bits, (M, 1))
-        elif bits.ndim == 2:
-            if bits.shape != (M, n):
-                raise ConfigurationError(
-                    f"expected inputs of shape ({M}, {n}), got {bits.shape}"
-                )
-            b = bits.copy()
-        else:
-            raise ConfigurationError(
-                f"inputs must be 1- or 2-dimensional, got {bits.ndim}"
-            )
+        b = np.broadcast_to(self._input_bits(inputs, M), (M, n)).astype(
+            np.int8, order="C"
+        )
+        run = _Run(self, seeds)
+        active = run.active
 
-        # Per-trial stream keys, mirroring the 1-D engines' derivation.
-        coin_raw = np.empty(M, dtype=np.uint64)
-        adv_seeds: List[int] = []
-        for i, seed in enumerate(seeds):
-            master = random.Random(int(seed))
-            coin_raw[i] = master.getrandbits(64)
-            adv_seeds.append(master.getrandbits(64))
-        coin_keys = stream_keys(coin_raw)
-        self.adversary.reset(n, adv_seeds)
-
-        t = self.adversary.t
         alive = np.ones((M, n), dtype=bool)
         halted = np.zeros((M, n), dtype=bool)
         tent = np.zeros((M, n), dtype=bool)
@@ -310,10 +237,6 @@ class Batch2DEngine:
         det_rounds = np.zeros((M, n), dtype=np.int32)
         det_has0 = np.zeros((M, n), dtype=bool)
         det_has1 = np.zeros((M, n), dtype=bool)
-        active = np.ones(M, dtype=bool)
-        budget_used = np.zeros(M, dtype=np.int64)
-        decision_round = np.full(M, -1, dtype=np.int64)
-        rounds = np.zeros(M, dtype=np.int64)
 
         # Per-receiver N^{r-1}/N^{r-2}/N^{r-3} for cascade and STOP.
         # Each is (M, 1) while every receiver of a trial heard the same
@@ -321,30 +244,12 @@ class Batch2DEngine:
         # never written in place, so the shift below can alias them.
         prev1 = prev2 = prev3 = np.full((M, 1), n, dtype=np.int32)
 
-        hist_totals: List[np.ndarray] = []
-        crashes_hist: List[np.ndarray] = []
-        senders_hist: List[np.ndarray] = []
-
         omission = self.fault_model.counts_kind == COUNTS_OMISSION
-        ledger = BatchSuppressionLedger(t, M) if omission else None
         lag = self.fault_model.lag
-        ring: LagRing[Batch2DView] = LagRing(lag)
-
         threshold = deterministic_stage_threshold(n)
         det_total = proto.det_stage_rounds(n)
-        coin_stride = (n + 63) // 64
 
-        r = 0
-        while active.any():
-            if r >= self.max_rounds:
-                if self.strict_termination:
-                    raise TerminationViolation(
-                        f"{int(active.sum())} of {M} trials undecided "
-                        f"after {self.max_rounds} rounds (batch2d engine)"
-                    )
-                rounds[active] = self.max_rounds
-                break
-
+        for r in run.round_indices():
             senders = alive & ~halted & active[:, None]
             p = _row_count(senders)
             ones_mask = senders & (b == 1)
@@ -366,32 +271,11 @@ class Batch2DEngine:
                 alive=alive,
                 trial_stage=trial_stage,
                 sender_count=p,
-                budget_remaining=t - budget_used,
-                received_totals=tuple(hist_totals),
+                budget_remaining=run.budget_remaining(),
+                received_history=tuple(run.received),
                 active=active,
             )
-            if lag:
-                ring.push(self._freeze(view))
-                stale = ring.stale(r)
-                adv_view = Batch2DView(
-                    round_index=stale.round_index,
-                    n=n,
-                    stage=stale.stage,
-                    senders=stale.senders,
-                    bits=stale.bits,
-                    tentative=stale.tentative,
-                    alive=stale.alive,
-                    trial_stage=stale.trial_stage,
-                    sender_count=stale.sender_count,
-                    budget_remaining=t - budget_used,
-                    received_totals=tuple(
-                        hist_totals[: stale.round_index]
-                    ),
-                    active=active,
-                )
-            else:
-                adv_view = view
-            dec = self.adversary.choose(adv_view)
+            dec = self.adversary.choose(run.adversary_view(view))
 
             # Per trial: killed1/killed0 silent victims and a1/a0
             # after-send victims by bit.  Crash kinds remove them from
@@ -432,20 +316,7 @@ class Batch2DEngine:
                     alive &= ~after
                 if dec.recipients is not None and a_all.any():
                     rmask = dec.recipients
-
-            if omission:
-                ledger.charge(injected)
-                budget_used = ledger.used
-            else:
-                budget_used = budget_used + injected
-                if (budget_used > t).any():
-                    i = int(np.flatnonzero(budget_used > t)[0])
-                    raise BudgetExceededError(
-                        f"batch2d adversary used {int(budget_used[i])} "
-                        f"crashes in trial {i}, budget is {t}"
-                    )
-            crashes_hist.append(injected)
-            senders_hist.append(p.copy())
+            run.charge(injected, p)
 
             # Delivery: the common full broadcasts reach every receiver
             # of a trial, so its tallies stay (M, 1).  After-send
@@ -453,7 +324,7 @@ class Batch2DEngine:
             # which widens them to (M, n) for this round.
             f1 = s1 - killed1 - a1
             f0 = s0 - killed0 - a0
-            hist_totals.append(f1 + f0)
+            run.received.append(f1 + f0)
             rcv1 = f1.astype(np.int32)[:, None]
             rcv0 = f0.astype(np.int32)[:, None]
             if rmask is not None:
@@ -514,7 +385,7 @@ class Batch2DEngine:
                     # popcounts, hence bit-identical 1-D/2-D coins.
                     # Each row's flippers take its first bits in order.
                     words = counter_words(
-                        coin_keys, r * coin_stride, coin_stride
+                        run.coin_keys, r * run.coin_stride, run.coin_stride
                     )
                     coins = np.unpackbits(
                         words.astype("<u8").view(np.uint8),
@@ -552,56 +423,12 @@ class Batch2DEngine:
             # the degenerate all-crashed case alike (mirroring the
             # scalar engine's undecided_alive bookkeeping).
             und = (alive & (decision < 0)).any(axis=1)
-            newly = active & ~und
-            decision_round[newly] = r
-            rounds[newly] = r + 1
-            active &= und
-            r += 1
+            run.finish(active & ~und, r)
 
-        horizon = len(crashes_hist)
-        crashes = (
-            np.stack(crashes_hist)
-            if horizon
-            else np.zeros((0, M), dtype=np.int64)
-        )
-        senders_rounds = (
-            np.stack(senders_hist)
-            if horizon
-            else np.zeros((0, M), dtype=np.int64)
-        )
         any0 = (decision == 0).any(axis=1)
         any1 = (decision == 1).any(axis=1)
-        common = np.where(
-            any0 & ~any1, 0, np.where(any1 & ~any0, 1, -1)
-        ).astype(np.int64)
-        return BatchResult(
-            rounds=rounds,
-            decision_round=decision_round,
-            decision=common,
-            crashes_used=budget_used,
-            survivors=_row_count(alive),
-            terminated=decision_round >= 0,
-            crashes_per_round=crashes,
-            senders_per_round=senders_rounds,
-        )
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _freeze(view: Batch2DView) -> Batch2DView:
-        """A deep-copied snapshot for the lag ring (the live arrays are
-        mutated as the round executes)."""
-        return Batch2DView(
-            round_index=view.round_index,
-            n=view.n,
-            stage=view.stage.copy(),
-            senders=view.senders.copy(),
-            bits=view.bits.copy(),
-            tentative=view.tentative.copy(),
-            alive=view.alive.copy(),
-            trial_stage=view.trial_stage.copy(),
-            sender_count=view.sender_count.copy(),
-            budget_remaining=view.budget_remaining.copy(),
-            received_totals=view.received_totals,
-            active=view.active.copy(),
+        return run.result(
+            np.where(any0 & ~any1, 0, np.where(any1 & ~any0, 1, -1)).astype(
+                np.int64
+            )
         )

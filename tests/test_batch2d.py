@@ -123,7 +123,7 @@ class _SilentCounts(Batch2DAdversary):
                 zeros=zeros.sum(axis=1),
                 tentative=(view.tentative & view.senders).sum(axis=1),
                 budget_remaining=view.budget_remaining,
-                received_history=view.received_totals,
+                received_history=view.received_history,
                 active=view.active,
             )
         )

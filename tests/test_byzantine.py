@@ -464,7 +464,7 @@ class TestJobJournal:
 class TestJournalRecovery:
     def make_manager(self, tmp_path, **kwargs):
         return JobManager(
-            lambda cache: SerialExecutor(cache=cache),
+            lambda cache, key: SerialExecutor(cache=cache),
             cache_root=str(tmp_path / "cache"),
             journal=JobJournal(tmp_path / "journal.jsonl"),
             **kwargs,
@@ -504,7 +504,7 @@ class TestJournalRecovery:
         # The journal remembers the eviction across restarts.
         manager.shutdown()
         reborn = JobManager(
-            lambda cache: SerialExecutor(cache=cache),
+            lambda cache, key: SerialExecutor(cache=cache),
             cache_root=str(tmp_path / "cache"),
             journal=JobJournal(tmp_path / "journal.jsonl"),
             max_jobs=1,
@@ -529,7 +529,7 @@ class TestJournalRecovery:
                 return super()._execute(batch, report)
 
         saturated = JobManager(
-            lambda cache: GatedExecutor(cache=cache),
+            lambda cache, key: GatedExecutor(cache=cache),
             cache_root=str(tmp_path / "cache2"),
             max_jobs=1,
         )

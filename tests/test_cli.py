@@ -1,5 +1,10 @@
 """Tests for the command-line interface and the adversary registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.adversary import (
@@ -180,3 +185,26 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "E4" in out
+
+    def test_both_experiment_entry_points_agree(self, tmp_path):
+        # `python -m repro.harness.experiments` is the `repro
+        # experiments` command: same bytes out, same exit code.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        args = ["--only", "E4,E13", "--no-cache"]
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", *module, *args],
+                capture_output=True,
+                cwd=tmp_path,
+                env=env,
+            )
+            for module in (["repro", "experiments"], ["repro.harness.experiments"])
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr == runs[1].stderr
+        assert b"E13" in runs[0].stdout

@@ -229,13 +229,20 @@ class TestWorkerInvariance:
 
     @pytest.mark.parametrize(
         "spec, chunks",
-        [(batch_spec(), 2), (reference_spec(), 8)],
-        ids=["batch", "reference"],
+        [
+            (batch_spec(), 2),
+            (tally_spec(engine=ENGINE_BATCH2D), 2),
+            (tally_spec(adversary="partition", engine=ENGINE_BATCH2D), 8),
+            (reference_spec(), 8),
+        ],
+        ids=["batch", "batch2d-tally", "batch2d-partition", "reference"],
     )
     def test_default_chunk_geometry(self, spec, chunks, monkeypatch):
-        # A counts batch splits once per worker (its engine pays a
-        # fixed cost per round whatever the chunk size); per-trial
-        # engines split four times per worker so stragglers rebalance.
+        # A batch that runs on the counts engine splits once per worker
+        # (that engine pays a fixed cost per round whatever the chunk
+        # size), whichever vectorized kind the spec names; mask and
+        # per-trial engines split four times per worker so stragglers
+        # rebalance.
         sizes = []
         submit = ParallelExecutor.submit
 
@@ -248,7 +255,8 @@ class TestWorkerInvariance:
         with ParallelExecutor(2) as executor:
             outcomes = executor.run_outcomes(batch)
         assert len(sizes) == chunks and sum(sizes) == batch.trials
-        assert outcomes == SerialExecutor().run_outcomes(batch)
+        with ParallelExecutor(2, chunk_size=1) as executor:
+            assert outcomes == executor.run_outcomes(batch)
 
     def test_make_executor_dispatch(self):
         assert isinstance(make_executor(1), SerialExecutor)

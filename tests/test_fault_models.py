@@ -29,7 +29,7 @@ from repro.faultmodels import (
     register_fault_model,
     resolve_fault_model,
 )
-from repro.faultmodels.omission import BatchSuppressionLedger
+from repro.faultmodels.omission import BatchBudgetLedger
 from repro.harness.exec.spec import TrialSpec
 from repro.harness.exec.trial import run_spec_trial
 from repro.lint import SimSanitizer
@@ -380,7 +380,9 @@ class TestSanitizerFaultContracts:
         # Counts engines cannot name pids: a round suppressing k senders
         # proves k distinct faulty processes, so the budget is charged
         # as the per-round high-water mark.
-        ledger = BatchSuppressionLedger(3, trials=2)
+        ledger = BatchBudgetLedger(
+            3, trials=2, counts_kind=SendOmissionFaultModel.counts_kind
+        )
         ledger.charge(np.array([3, 1]))
         ledger.charge(np.array([2, 2]))
         assert ledger.used.tolist() == [3, 2]

@@ -191,7 +191,7 @@ class TestJobDedup:
                 return super()._execute(batch, report)
 
         manager = JobManager(
-            lambda cache: CountingExecutor(cache=cache),
+            lambda cache, key: CountingExecutor(cache=cache),
             cache_root=str(tmp_path / "cache"),
         )
         plan = two_batch_plan(trials=4)
@@ -217,7 +217,7 @@ class TestJobDedup:
 
     def test_resubmission_after_completion_coalesces(self, tmp_path):
         manager = JobManager(
-            lambda cache: SerialExecutor(cache=cache),
+            lambda cache, key: SerialExecutor(cache=cache),
             cache_root=str(tmp_path / "cache"),
         )
         plan = two_batch_plan(trials=3)
@@ -240,7 +240,7 @@ class TestJobDedup:
                 return super()._execute(batch, report)
 
         manager = JobManager(
-            lambda cache: GatedExecutor(cache=cache),
+            lambda cache, key: GatedExecutor(cache=cache),
             cache_root=str(tmp_path / "cache"),
         )
         job, _ = manager.submit(two_batch_plan(trials=2))
@@ -431,7 +431,7 @@ class TestServeConfig:
         with pytest.raises(ConfigurationError):
             ServerConfig(workers=0)
         with pytest.raises(ConfigurationError):
-            JobManager(lambda cache: make_executor(1), job_workers=0)
+            JobManager(lambda cache, key: make_executor(1), job_workers=0)
 
     def test_remote_factory_when_endpoints_given(self, tmp_path):
         config = ServerConfig(worker_endpoints=("http://127.0.0.1:9",))
