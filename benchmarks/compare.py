@@ -169,7 +169,7 @@ def compare_artifact(
         marker = "REGRESSION" if bad else "ok"
         print(
             f"{name}: {_fmt_key(key):<28} {metric} "
-            f"{base_val:>12.1f} -> {fresh_val:>12.1f} "
+            f"{base_val:>12.4g} -> {fresh_val:>12.4g} "
             f"({delta:+.1%}) {marker}"
         )
         if bad:

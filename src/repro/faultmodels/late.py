@@ -32,13 +32,14 @@ _Snap = TypeVar("_Snap")
 class LagRing(Generic[_Snap]):
     """Snapshot store realising the late model's ε-stale views.
 
-    The batch engines snapshot whatever per-round state their adversary
-    views are built from (tally vectors for the 1-D engine, per-process
-    arrays for the 2-D engine); this ring serves round ``r`` the
-    snapshot of round ``max(0, r - lag)`` — the same clamping
-    :meth:`LateFaultModel.view_round` applies at message level, so all
-    three realisations of the model agree on *which* round the
-    adversary sees.  With ``lag=0`` it stores nothing.
+    The vectorized engines' shared run scaffold
+    (``repro.sim.batch._Run.adversary_view``) pushes one copied view
+    per round, whichever engine built it; this ring serves round ``r``
+    the snapshot of round ``max(0, r - lag)`` — the same clamping
+    :meth:`LateFaultModel.view_round` applies at message level, so the
+    message-level and vectorized realisations of the model agree on
+    *which* round the adversary sees.  With ``lag=0`` it stores
+    nothing.
     """
 
     def __init__(self, lag: int) -> None:
@@ -54,9 +55,6 @@ class LagRing(Generic[_Snap]):
     def stale(self, round_index: int) -> _Snap:
         """The snapshot the adversary may see in ``round_index``."""
         return self._snapshots[max(0, round_index - self.lag)]
-
-    def stale_round(self, round_index: int) -> int:
-        return max(0, round_index - self.lag)
 
 
 class LateFaultModel(CrashFaultModel):
@@ -101,7 +99,7 @@ class LateFaultModel(CrashFaultModel):
                 copy.deepcopy(dict(view.payloads)),
             )
         )
-        stale_round = max(0, view.round_index - self.lag)
+        stale_round = self.view_round(view.round_index)
         states, payloads = self._snapshots[stale_round]
         # Participants only shrink over time, so every pid alive now
         # had a payload at the stale round; restricting the stale

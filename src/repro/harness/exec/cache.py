@@ -366,14 +366,19 @@ class ResultCache:
         return outcomes
 
     def _write_doc(self, path: Path, doc: Dict[str, Any]) -> Path:
-        """Atomic JSON write: temp file in the target dir, then rename."""
+        """Atomic JSON write: temp file in the target dir, then rename.
+
+        The document is encoded in one ``json.dumps`` call, which takes
+        CPython's C encoder (``json.dump`` always runs the pure-Python
+        one); both emit the same bytes.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=".tmp-", suffix=".json"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
+                fh.write(json.dumps(doc, sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -403,7 +408,7 @@ class ResultCache:
 def _spec_doc(batch: TrialBatch) -> dict:
     """The spec as the JSON-round-trippable dict stored in documents.
 
-    Param tuples become lists under ``json.dump``; normalise here so a
+    Param tuples become lists under ``json.dumps``; normalise here so a
     freshly-built spec compares equal to one read back from disk.
     """
     raw = asdict(batch.spec)

@@ -29,7 +29,12 @@ from repro.harness.exec.builders import (
     build_inputs,
     build_protocol,
 )
-from repro.harness.exec.spec import ENGINE_BATCH, ENGINE_BATCH2D, TrialSpec
+from repro.harness.exec.spec import (
+    ENGINE_BATCH,
+    ENGINE_BATCH2D,
+    TrialSpec,
+    derive_trial_seed,
+)
 from repro.sim.batch import BatchFastAdversary, BatchFastEngine, BatchResult
 from repro.sim.batch2d import Batch2DAdversary, Batch2DEngine
 from repro.sim.checks import verify_execution
@@ -302,10 +307,11 @@ def run_spec_batch(
     attack on an ``engine="batch2d"`` spec runs on
     :class:`~repro.sim.batch.BatchFastEngine`.  Per-trial seeds are the
     same ``(base_seed, spec_hash, trial_index)`` hashes as everywhere
-    else and each trial's randomness is a pure function of its own
-    seed, so outcomes are byte-identical however the indices are
-    chunked across calls or workers — the executor contract the serial
-    and process-pool paths already rely on.
+    else (the spec is hashed once per call, not once per trial) and
+    each trial's randomness is a pure function of its own seed, so
+    outcomes are byte-identical however the indices are chunked across
+    calls or workers — the executor contract the serial and
+    process-pool paths already rely on.
     """
     if spec.engine not in BATCH_ENGINES:
         raise ConfigurationError(
@@ -321,7 +327,8 @@ def run_spec_batch(
         raise ConfigurationError(
             f"duplicate trial indices in batch slice: {indices}"
         )
-    seeds = [spec.trial_seed(base_seed, i) for i in indices]
+    scope = spec.spec_hash()
+    seeds = [derive_trial_seed(base_seed, scope, i) for i in indices]
     if spec.inputs in _SAMPLED_INPUT_KINDS:
         inputs = [
             build_inputs(spec, random.Random(seed ^ _INPUT_STREAM_MASK))

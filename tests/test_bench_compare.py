@@ -1,10 +1,13 @@
 """``benchmarks/compare.py`` compares timings measured on one host.
 
 The bench runner is stubbed: these tests check which baseline the
-comparator picks, not the timings themselves.
+comparator picks and how it prints a compared cell, not the timings
+themselves.
 """
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,22 @@ def test_measurement_reuses_the_fresh_flags(compare):
 def test_every_artifact_names_its_bench_script(compare):
     for script, *_ in compare.ARTIFACTS.values():
         assert (ROOT / "benchmarks" / script).is_file()
+
+
+def test_second_scale_cells_print_both_values(
+    compare, monkeypatch, tmp_path, capsys
+):
+    fresh = dict(
+        _doc("here", seconds=0.0712),
+        benchmark="exec",
+        schema_version=1,
+        generated_utc="2026-01-01T00:00:00+00:00",
+        config={},
+    )
+    (tmp_path / NAME).write_text(json.dumps(fresh))
+    monkeypatch.setattr(compare, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(
+        compare, "baseline_for", lambda name, doc: _doc("here", seconds=0.0655)
+    )
+    assert compare.compare_artifact(NAME, 0.30, False) == (1, 0)
+    assert re.search(r" 0\.0655 -> +0\.0712 ", capsys.readouterr().out)

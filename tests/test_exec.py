@@ -2,6 +2,7 @@
 spec hashing and seed derivation, builder coverage, executor
 worker-count invariance, and the on-disk result cache."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -374,6 +375,59 @@ class TestResultCache:
         assert resumed.cache_misses == 0
 
 
+class TestCacheDocumentBytes:
+    """Stored documents keep the exact bytes of earlier writers.
+
+    The sha256 pins were captured from files written by the earlier
+    ``json.dump(doc, fh, sort_keys=True)`` writer, so every entry
+    already on disk still reads back and still hits.  They change only
+    with a deliberate schema, version or outcome change.
+    """
+
+    PINS = {
+        "reference": (
+            "2d5d8e8f42e715680690040c91e0796dd7c15b328a9b05de514adf60e35b9496",
+            "27d800c6ba71b388332fab5631d7fe36ec0a9c8486c44c0ff81442827c022cfb",
+        ),
+        "batch": (
+            "5ea66475a9203f857c9470fd95714ca8cc46f1c78e4d545c3670138df9e23877",
+            "b515515ed8edab1752e77b2e535780fd1ae15e55db2697abb59f32104a1f21b6",
+        ),
+        "batch2d": (
+            "f0d2bed050302f06eeb15e52c1acc7bdbbcd392a603c42063d65761cf4086a34",
+            "0e054ce6d4f37dd4845d04b77813bc5bb8437dc8f35e5854504a1add20c99155",
+        ),
+    }
+
+    SPECS = {
+        "reference": reference_spec(),
+        "batch": tally_spec(),
+        "batch2d": tally_spec(
+            adversary="partition", t=8, engine=ENGINE_BATCH2D
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINS))
+    def test_batch_and_chunk_documents_are_pinned(self, kind, tmp_path):
+        batch = TrialBatch(
+            spec=self.SPECS[kind], trials=4, base_seed=3, label=kind
+        )
+        outcomes = trial_module.compute_chunk(
+            batch.spec, batch.base_seed, range(batch.trials)
+        )
+        if kind == "reference":
+            assert all(isinstance(o.verdict, dict) for o in outcomes)
+        cache = ResultCache(tmp_path)
+        # The chunk first: a stored batch document compacts its ledger.
+        chunk = cache.store_chunk(batch, [0, 1], outcomes[:2])
+        chunk_sha = hashlib.sha256(chunk.read_bytes()).hexdigest()
+        batch_sha = hashlib.sha256(
+            cache.store(batch, outcomes).read_bytes()
+        ).hexdigest()
+        assert (batch_sha, chunk_sha) == self.PINS[kind]
+        assert cache.load(batch) == outcomes
+
+
 class TestTrialOutcome:
     def test_json_round_trip(self):
         outcome = run_spec_trial(reference_spec(), 0, 7)
@@ -446,6 +500,14 @@ class TestBatchSpecExecution:
     def test_rejects_non_batch_spec(self):
         with pytest.raises(ConfigurationError):
             run_spec_batch(reference_spec(), [0], 7)
+
+    def test_seeds_are_the_spec_trial_seeds(self):
+        spec = batch_spec()
+        outcomes = run_spec_batch(spec, [7, 2, 11], 5)
+        assert [o.trial_index for o in outcomes] == [7, 2, 11]
+        assert [o.seed for o in outcomes] == [
+            spec.trial_seed(5, i) for i in (7, 2, 11)
+        ]
 
     def test_cache_round_trip(self, tmp_path):
         batch = TrialBatch(spec=batch_spec(), trials=4, base_seed=2)
