@@ -9,10 +9,9 @@ export PYTHONPATH
 # interprocedural determinism-taint and spec-payload rules).
 # Benchmarks and examples are included so REP005 (dead heavyweight
 # imports) and REP007 (determinism taint) cover the perf-critical
-# files too.  --cache makes warm re-runs re-analyze only changed
-# files (.repro-cache/lint/, gitignored).
+# files too.
 replint:
-	python -m repro.lint src benchmarks examples --cache
+	python -m repro.lint src benchmarks examples
 
 # Generic python lint; requires `pip install -e '.[lint]'`.  Skips
 # with a notice when ruff is absent so `make check` stays usable in

@@ -105,19 +105,18 @@ _GAMES = {
 def _make_executor(args: argparse.Namespace, *, cache_on: bool) -> Executor:
     """Build the executor shared by run/sweep/experiments from flags."""
     cache = ResultCache(args.cache_dir) if cache_on else None
-    fault_plan = None
     if getattr(args, "chaos", None):
-        # The environment variable is what process-pool workers
-        # inherit; the loaded plan covers in-process execution and
+        # Load the plan here so a broken plan file fails before the
+        # run starts.  The environment variable reaches every chaos
+        # hook: in-process chunks, pool workers (which inherit it) and
         # parent-side cache corruption.
+        FaultPlan.load(args.chaos)
         os.environ[CHAOS_ENV] = args.chaos
-        fault_plan = FaultPlan.load(args.chaos)
     return make_executor(
         args.workers,
         cache=cache,
         retry=RetryPolicy(max_attempts=args.retries + 1),
         chunk_timeout=args.chunk_timeout,
-        fault_plan=fault_plan,
     )
 
 
@@ -438,11 +437,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.service.worker import WorkerApp
 
     fault_plan = FaultPlan.load(args.chaos) if args.chaos else None
-    worker = WorkerApp(processes=args.processes, fault_plan=fault_plan)
-    try:
-        _serve_forever(worker.app, args.host, args.port, "worker")
-    finally:
-        worker.close()
+    worker = WorkerApp(fault_plan=fault_plan)
+    _serve_forever(worker.app, args.host, args.port, "worker")
     return 0
 
 
@@ -737,10 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--host", default="127.0.0.1")
     worker.add_argument("--port", type=int, default=8643,
                         help="listen port (0 = ephemeral; default: 8643)")
-    worker.add_argument(
-        "--processes", type=int, default=1,
-        help="chunk-execution processes (1 = in the serving process)",
-    )
     worker.add_argument("--chaos", default=None, metavar="PLAN.json",
                         help="fault-plan JSON to inject (chaos testing)")
     worker.set_defaults(func=_cmd_worker)

@@ -1,5 +1,5 @@
 """Experiment harness: seeded Monte-Carlo drivers and the per-claim
-experiment suite (E1..E10, see DESIGN.md §5).
+experiment suite (E1..E14, see DESIGN.md §5).
 
 The paper is theory-only, so its "tables and figures" are the
 quantitative statements of its lemmas and theorems; each function in

@@ -59,11 +59,9 @@ from repro.harness.resilience import (
     AuditPolicy,
     BatchReport,
     ChunkFailure,
-    FaultPlan,
     RetryPolicy,
     apply_corruption,
     inject_chunk_faults,
-    reexecute_chunk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -310,7 +308,9 @@ class ChunkScheduler:
         """Keep a returned chunk, auditing it first if its lane is untrusted."""
         indices = self.chunks[cid]
         if not lane.trusted and self.executor.audit.selects(self.key, indices):
-            truth = reexecute_chunk(self.batch.spec, self.batch.base_seed, indices)
+            # The ground truth bypasses every chaos hook (see
+            # repro.harness.resilience.audit).
+            truth = compute_chunk(self.batch.spec, self.batch.base_seed, indices)
             honest = outcomes_digest(truth) == outcomes_digest(outcomes)
             self.report.audited_chunks += 1
             lane.audited(honest)
@@ -386,9 +386,6 @@ class Executor:
         cache_hits / cache_misses: Batch-level counters, for resume
             reporting ("12/16 cells served from cache").
         retry: The :class:`RetryPolicy` governing failed chunks.
-        fault_plan: Optional explicit :class:`FaultPlan` for chaos
-            testing (the ``REPRO_CHAOS`` environment variable reaches
-            pool workers; this reaches in-process execution too).
         reports: One :class:`BatchReport` per executed batch, in
             order, carrying ``resumed_chunks``/``retries``/
             ``quarantined`` counters.
@@ -405,13 +402,11 @@ class Executor:
         cache: Optional[ResultCache] = None,
         *,
         retry: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.cache = cache
         self.cache_hits = 0
         self.cache_misses = 0
         self.retry = retry if retry is not None else RetryPolicy()
-        self.fault_plan = fault_plan
         self.reports: List[BatchReport] = []
 
     @property
@@ -456,8 +451,8 @@ class Executor:
         self.reports.append(report)
         # Chaos hook: corrupt targeted cache documents *before* they
         # are consulted, so the run must absorb the damage.  No-op
-        # without an active fault plan.
-        apply_corruption(self.cache, batch, self.fault_plan)
+        # unless ``REPRO_CHAOS`` names a fault plan.
+        apply_corruption(self.cache, batch)
         if self.cache is not None:
             cached = self.cache.load(batch)
             if cached is not None:
@@ -574,8 +569,6 @@ class ParallelExecutor(Executor, Lane):
             wedged — it is rebuilt and the in-flight chunks are charged
             a ``timeout`` failure and retried.  ``None`` (default)
             waits forever.
-        fault_plan: Optional explicit :class:`FaultPlan` for chaos
-            testing.
     """
 
     capacity = math.inf
@@ -588,9 +581,8 @@ class ParallelExecutor(Executor, Lane):
         chunk_size: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         chunk_timeout: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        super().__init__(cache=cache, retry=retry, fault_plan=fault_plan)
+        super().__init__(cache=cache, retry=retry)
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
@@ -662,15 +654,10 @@ def make_executor(
     cache: Optional[ResultCache] = None,
     retry: Optional[RetryPolicy] = None,
     chunk_timeout: Optional[float] = None,
-    fault_plan: Optional[FaultPlan] = None,
 ) -> Executor:
     """A :class:`SerialExecutor` for ``workers <= 1``, else parallel."""
     if workers <= 1:
-        return SerialExecutor(cache=cache, retry=retry, fault_plan=fault_plan)
+        return SerialExecutor(cache=cache, retry=retry)
     return ParallelExecutor(
-        workers,
-        cache=cache,
-        retry=retry,
-        chunk_timeout=chunk_timeout,
-        fault_plan=fault_plan,
+        workers, cache=cache, retry=retry, chunk_timeout=chunk_timeout
     )

@@ -27,11 +27,7 @@ of a long run.
 See ``docs/robustness.md`` for the harness's own failure model.
 """
 
-from repro.harness.resilience.audit import (
-    AuditPolicy,
-    audit_fraction_value,
-    reexecute_chunk,
-)
+from repro.harness.resilience.audit import AuditPolicy, audit_fraction_value
 from repro.harness.resilience.chaos import (
     CHAOS_ENV,
     ChaosError,
@@ -64,5 +60,4 @@ __all__ = [
     "backoff_fraction",
     "corrupt_outcomes",
     "inject_chunk_faults",
-    "reexecute_chunk",
 ]

@@ -21,24 +21,22 @@ influence by timing, and clean under ``repro.lint`` REP001/REP007.
 The seed is typically the plan key (the sweep server wires it so),
 giving every job its own reproducible audit schedule.
 
-:func:`reexecute_chunk` computes the ground truth, deliberately
-bypassing every chaos hook: the auditor's answer must be the honest
-one even inside a fault-injection test.
+The scheduler computes the ground truth with
+:func:`~repro.harness.exec.trial.compute_chunk` itself, not the
+executor's ``run_chunk``, deliberately bypassing every chaos hook: the
+auditor's answer must be the honest one even inside a fault-injection
+test, otherwise the audit would convict honest workers.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.harness.exec.spec import TrialSpec
-    from repro.harness.exec.trial import TrialOutcome
-
-__all__ = ["AuditPolicy", "audit_fraction_value", "reexecute_chunk"]
+__all__ = ["AuditPolicy", "audit_fraction_value"]
 
 
 def audit_fraction_value(seed: str, batch_key: str, first_index: int) -> float:
@@ -86,22 +84,3 @@ class AuditPolicy:
             return True
         value = audit_fraction_value(self.seed, batch_key, min(indices))
         return value < self.fraction
-
-
-def reexecute_chunk(
-    spec: "TrialSpec", base_seed: int, indices: Sequence[int]
-) -> List["TrialOutcome"]:
-    """Compute a chunk's ground truth locally, bypassing chaos hooks.
-
-    The honest twin of the executor's ``run_chunk``: the same
-    :func:`~repro.harness.exec.trial.compute_chunk`, but without the
-    ``inject_chunk_faults`` call — an auditor running inside a
-    fault-injection test must still produce the clean answer, otherwise
-    the audit would convict honest workers.
-    """
-    # Imported lazily: repro.harness.exec's __init__ pulls in the
-    # executor module, which imports this package — a module-level
-    # import here would be circular.
-    from repro.harness.exec.trial import compute_chunk
-
-    return compute_chunk(spec, base_seed, indices)

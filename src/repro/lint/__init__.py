@@ -13,13 +13,13 @@ Two halves guard the model contracts the paper's results depend on:
   pid / entropy values must not reach seed, stream-key, or cache-key
   computation, even through helper chains), and REP008 (spec payload
   safety: ``*Spec``/``*Plan``/``*Batch`` dataclasses stay frozen,
-  hashable, and picklable).  Findings can be baselined
-  (:mod:`repro.lint.baseline`), cached incrementally
-  (:mod:`repro.lint.cache`), and exported as SARIF 2.1.0
+  hashable, and picklable).  Every run parses each file once and runs
+  every selected rule; findings can be exported as SARIF 2.1.0
   (:mod:`repro.lint.sarif`).  See ``docs/static_analysis.md``.
-* **Runtime pass** (:class:`SimSanitizer`): hooked into both engines
-  behind a flag, asserting fail-stop semantics, failure budgets, round
-  monotonicity, and decision irrevocability at execution time.
+* **Runtime pass** (:class:`SimSanitizer`): hooked into the
+  message-level ``Engine`` behind a flag, asserting fail-stop
+  semantics, failure budgets, round monotonicity, and decision
+  irrevocability at execution time.
 """
 
 from repro.lint.findings import Finding, LintReport

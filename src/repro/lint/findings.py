@@ -36,7 +36,8 @@ class Finding:
     """One rule violation at one source location.
 
     Attributes:
-        rule: Rule identifier (``REP001`` .. ``REP005``).
+        rule: Rule identifier (``REP001`` .. ``REP008``, or ``REP000``
+            for a file that could not be read or parsed).
         file: Path of the offending file, as given to the runner.
         line: 1-based line of the offending construct.
         col: 0-based column offset.
@@ -68,12 +69,13 @@ class Finding:
         return f"{self.file}:{self.line}:{self.col}: {self.rule} {self.message}"
 
     def fingerprint(self) -> str:
-        """Stable identity for baselining, independent of line/column.
+        """Stable identity for code scanning, independent of line/column.
 
-        Keyed on rule, file, symbol, and message so a baselined
-        finding stays recognised when unrelated edits shift it down
-        the file, but lapses as soon as the offending code itself
-        changes shape.
+        Keyed on rule, file, symbol, and message so a finding stays
+        recognised when unrelated edits shift it down the file, but
+        becomes a new finding as soon as the offending code itself
+        changes shape.  SARIF output carries it as the result's
+        ``partialFingerprints`` entry.
         """
         material = f"{self.rule}|{self.file}|{self.symbol}|{self.message}"
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
@@ -90,12 +92,6 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: List[str] = field(default_factory=list)
-    #: Files whose rules actually executed this run (cache misses).
-    files_reanalyzed: int = 0
-    #: Files served from the incremental analysis cache.
-    cache_hits: int = 0
-    #: Findings dropped because the checked-in baseline covers them.
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -111,9 +107,6 @@ class LintReport:
         return {
             "ok": self.ok,
             "files_scanned": self.files_scanned,
-            "files_reanalyzed": self.files_reanalyzed,
-            "cache_hits": self.cache_hits,
-            "baselined": self.baselined,
             "rules_run": list(self.rules_run),
             "counts": self.counts_by_rule(),
             "findings": [f.to_dict() for f in self.findings],

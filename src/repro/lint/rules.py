@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding
 
@@ -196,26 +196,6 @@ class FileContext:
     @property
     def in_adversary_package(self) -> bool:
         return _ADVERSARY_DIR in self._parts
-
-    @property
-    def in_registry_package(self) -> bool:
-        return any(
-            part in self._parts
-            for part in (_ADVERSARY_DIR, _PROTOCOL_DIR, _FAULTMODEL_DIR)
-        )
-
-
-def parse_file(path: Path, display_path: str) -> Optional[FileContext]:
-    """Parse ``path``; returns ``None`` for unreadable/unparsable files
-    (the runner reports those separately as REP000 findings)."""
-    try:
-        source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(path))
-    except (OSError, SyntaxError, ValueError):
-        return None
-    return FileContext(
-        path=path, display_path=display_path, source=source, tree=tree
-    )
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ Renders a :class:`~repro.lint.findings.LintReport` as a single-run
 SARIF log: one ``reportingDescriptor`` per rule that ran (with the
 summaries from :data:`repro.lint.rules.RULE_SUMMARIES`) and one
 ``result`` per finding, each carrying a ``partialFingerprints`` entry
-(the baseline fingerprint) so code scanning tracks findings across
-line-shifting edits the same way the local baseline does.
+(:meth:`~repro.lint.findings.Finding.fingerprint`) so code scanning
+tracks findings across line-shifting edits.
 """
 
 from __future__ import annotations

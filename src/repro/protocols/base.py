@@ -71,13 +71,5 @@ class ConsensusProtocol(abc.ABC):
         """Phase B: consume the round's read-only, possibly shared inbox
         and update ``state``."""
 
-    def validate_inputs(self, inputs) -> None:
-        """Hook for input-domain validation; binary by default."""
-        for i, x in enumerate(inputs):
-            if x not in (0, 1):
-                raise ValueError(
-                    f"{self.name} expects binary inputs; input[{i}]={x!r}"
-                )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -97,7 +97,6 @@ class Job:
         self.quarantined: List[Dict[str, Any]] = []
         self._results: List[Dict[str, Any]] = []
         self._outcomes: List[Dict[str, Any]] = []
-        self._stats: List[TrialStats] = []
         self._trials_done = 0  # trials of completed batches
         self._chunk_trials = 0  # checkpointed trials of the running batch
         self._generation = 0
@@ -127,7 +126,6 @@ class Job:
         with self._lock:
             self._trials_done += batch.trials
             self._chunk_trials = 0
-            self._stats.append(stats)
             self._results.append(
                 {
                     "label": batch.label,
@@ -192,11 +190,6 @@ class Job:
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job settles; True if it did within timeout."""
         return self._done.wait(timeout)
-
-    def stats(self) -> List[TrialStats]:
-        """The per-batch aggregates of a finished job (in plan order)."""
-        with self._lock:
-            return list(self._stats)
 
     def status_doc(self) -> Dict[str, Any]:
         """The JSON document ``GET /jobs/<id>`` serves."""

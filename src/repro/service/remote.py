@@ -60,7 +60,6 @@ from repro.harness.exec.wire import WIRE_VERSION, spec_to_wire
 from repro.harness.resilience import (
     BatchReport,
     CircuitBreaker,
-    FaultPlan,
     RetryPolicy,
 )
 from repro.harness.resilience.audit import AuditPolicy
@@ -205,9 +204,6 @@ class RemoteExecutor(Executor):
         audit_seed: Salt for the deterministic audit selection —
             typically the plan key (the sweep server wires it so), so
             audits are reproducible per job.
-        fault_plan: Optional chaos plan (parent-side corruption hooks,
-            as in the local executors; worker-side faults are injected
-            inside the worker process itself).
     """
 
     def __init__(
@@ -220,9 +216,8 @@ class RemoteExecutor(Executor):
         request_timeout: float = 300.0,
         audit_fraction: float = 0.0,
         audit_seed: Optional[str] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        super().__init__(cache=cache, retry=retry, fault_plan=fault_plan)
+        super().__init__(cache=cache, retry=retry)
         urls = [url for url in endpoints if url]
         if not urls:
             raise ConfigurationError(

@@ -20,24 +20,22 @@ Endpoints:
   recomputes on receipt.
 * ``GET /healthz`` — liveness probe with version info.
 
-Chunks execute off the event loop: inline on a thread (default) or on
-a process pool (``processes > 1``), which also isolates the server
-from ``kill``-type chaos faults the same way the local
-:class:`ParallelExecutor` is isolated from its workers.  The chaos
-hook inside ``run_chunk`` honours an explicit :class:`FaultPlan`
-passed to :class:`WorkerApp` (used by the differential tests to fault
-one worker of a fleet) or, as everywhere else, the ``REPRO_CHAOS``
-environment variable inherited by the worker process.
+Chunks execute off the event loop, on the default thread pool; an
+HTTP lane sends one request at a time per endpoint, so more cores are
+served by more ``repro worker`` endpoints.  The chaos hook inside
+``run_chunk`` honours an explicit :class:`FaultPlan` passed to
+:class:`WorkerApp` (used by the differential tests to fault one worker
+of a fleet) or, as everywhere else, the ``REPRO_CHAOS`` environment
+variable inherited by the worker process.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 from typing import List, Optional
 
 import repro
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.harness.exec import TrialOutcome, run_chunk, spec_from_wire
 from repro.harness.exec.spec import TrialSpec
 from repro.harness.exec.trial import outcomes_digest
@@ -61,15 +59,12 @@ def execute_wire_chunk(
 ) -> List[TrialOutcome]:
     """Run one decoded chunk, with optional explicit chaos injection.
 
-    Module-level and picklable-by-name, so the worker's optional
-    process pool can resolve it by import — the same discipline as the
-    executor's ``run_chunk`` (which this wraps).
-
-    This is also where a ``corrupt-outcomes`` chaos fault bites: the
-    chunk computes honestly, then targeted outcomes are falsified on
-    the way out — the worker *lies consistently* (its attestation
-    digest covers the lie), which is exactly the adversary audit
-    re-execution exists to catch.
+    This wraps the executor's ``run_chunk``.  It is also where a
+    ``corrupt-outcomes`` chaos fault bites: the chunk computes
+    honestly, then targeted outcomes are falsified on the way out —
+    the worker *lies consistently* (its attestation digest covers the
+    lie), which is exactly the adversary audit re-execution exists to
+    catch.
     """
     if fault_plan is not None:
         inject_chunk_faults(indices, attempt, fault_plan)
@@ -81,83 +76,17 @@ class WorkerApp:
     """Routes plus the execution backend of one worker process.
 
     Args:
-        processes: ``1`` executes chunks on the serving thread pool;
-            ``> 1`` fans them out to a ``ProcessPoolExecutor`` of this
-            size (rebuilt transparently if it breaks).
         fault_plan: Explicit chaos plan injected into every chunk this
             worker executes (tests fault one worker of a fleet this
             way without touching the environment).
     """
 
-    def __init__(
-        self,
-        processes: int = 1,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        if processes < 1:
-            raise ConfigurationError(
-                f"processes must be >= 1, got {processes}"
-            )
-        self.processes = processes
+    def __init__(self, fault_plan: Optional[FaultPlan] = None) -> None:
         self.fault_plan = fault_plan
         self.chunks_served = 0
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self.app = App()
         self.app.add("GET", "/healthz", self._healthz)
         self.app.add("POST", "/chunks", self._chunks)
-
-    # -- execution backend --------------------------------------------
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.processes
-            )
-        return self._pool
-
-    async def _execute(
-        self,
-        spec: TrialSpec,
-        base_seed: int,
-        indices: List[int],
-        attempt: int,
-    ) -> List[TrialOutcome]:
-        loop = asyncio.get_running_loop()
-        if self.processes > 1:
-            pool = self._ensure_pool()
-            try:
-                return await asyncio.wrap_future(
-                    pool.submit(
-                        execute_wire_chunk,
-                        spec,
-                        base_seed,
-                        indices,
-                        attempt,
-                        self.fault_plan,
-                    )
-                )
-            except concurrent.futures.BrokenExecutor:
-                # A dead pool process (OOM, chaos kill).  Drop the
-                # pool so the next request gets a fresh one, and fail
-                # this chunk to the caller, whose retry policy owns
-                # re-dispatch.
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                raise HttpError(500, "worker process pool broke")
-        return await loop.run_in_executor(
-            None,
-            execute_wire_chunk,
-            spec,
-            base_seed,
-            indices,
-            attempt,
-            self.fault_plan,
-        )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
     # -- handlers ------------------------------------------------------
 
@@ -168,7 +97,6 @@ class WorkerApp:
                 "role": "worker",
                 "version": repro.__version__,
                 "wire": WIRE_VERSION,
-                "processes": self.processes,
                 "chunks_served": self.chunks_served,
             }
         )
@@ -194,10 +122,17 @@ class WorkerApp:
             raise HttpError(400, f"malformed chunk request: {exc}") from exc
         if not indices:
             raise HttpError(400, "chunk request has no trial indices")
+        loop = asyncio.get_running_loop()
         try:
-            outcomes = await self._execute(spec, base_seed, indices, attempt)
-        except HttpError:
-            raise
+            outcomes = await loop.run_in_executor(
+                None,
+                execute_wire_chunk,
+                spec,
+                base_seed,
+                indices,
+                attempt,
+                self.fault_plan,
+            )
         except Exception as exc:
             # A failed chunk is the caller's retry problem, reported
             # as a structured 500 — the worker itself stays up.

@@ -162,7 +162,6 @@ class TestAttestation:
             with remote:
                 outcomes = remote.run_outcomes(batch)
         finally:
-            worker.close()
             thread.stop()
         assert outcomes == serial_outcomes(batch)
         summary = remote.worker_summary()
@@ -228,7 +227,6 @@ class TestByzantineDifferential:
             with remote:
                 outcomes = remote.run_outcomes(batch)
         finally:
-            liar.close()
             thread.stop()
         assert outcomes == expected
         report = remote.reports[-1]
@@ -265,8 +263,6 @@ class TestByzantineDifferential:
             with remote:
                 outcomes = remote.run_outcomes(batch)
         finally:
-            honest.close()
-            liar.close()
             for t in threads:
                 t.stop()
         assert [o.to_jsonable() for o in outcomes] == [
@@ -302,7 +298,6 @@ class TestByzantineDifferential:
             with remote:
                 outcomes = remote.run_outcomes(batch)
         finally:
-            liar.close()
             thread.stop()
         truth = serial_outcomes(batch)
         assert [o.rounds for o in outcomes] == [o.rounds + 1 for o in truth]
@@ -397,7 +392,6 @@ class TestCircuitBreaker:
             with remote:
                 outcomes = remote.run_outcomes(batch)
         finally:
-            flaky.close()
             thread.stop()
         assert outcomes == serial_outcomes(batch)
         summary = remote.worker_summary()

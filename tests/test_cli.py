@@ -180,6 +180,30 @@ class TestMain:
         runs = [int(row[3]) for row in rows if len(row) == 5 and row[2] == "6"]
         assert runs == [0] * 10
 
+    def test_chaos_plan_corrupts_the_cached_batch_document(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # The CLI exports --chaos into this process's environment.  An
+        # empty value reads as no plan, and setting it (deleting an
+        # unset variable records nothing) makes monkeypatch restore
+        # the environment afterwards.
+        monkeypatch.setenv(CHAOS_ENV, "")
+        path = FaultPlan(faults=(Fault(kind="corrupt", trial=0),)).dump(
+            tmp_path / "plan.json"
+        )
+        sweep = [
+            "sweep", "--protocols", "synran", "--adversaries", "benign",
+            "--ns", "16", "--trials", "3",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(sweep) == 0
+        clean = capsys.readouterr().out
+        assert "0 cell(s) resumed, 1 computed" in clean
+        # The corrupted batch document reads as a miss: the cell is
+        # recomputed, to the same table.
+        assert main([*sweep, "--chaos", str(path)]) == 0
+        assert capsys.readouterr().out == clean
+
     def test_experiments_subset(self, capsys):
         code = main(["experiments", "--only", "E4"])
         assert code == 0

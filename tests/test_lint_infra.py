@@ -1,10 +1,10 @@
-"""Tests for lint infrastructure: cache, baseline, SARIF, discovery.
+"""Tests for lint infrastructure: SARIF, discovery, pragmas, the CLI.
 
-Covers the incremental analysis cache (a second run over an unchanged
-tree re-analyzes zero files), the baseline workflow, SARIF 2.1.0
-emission validated against a vendored schema subset, ``discover_root``
+Covers SARIF 2.1.0 emission validated against a vendored schema subset
+(and the line-independent fingerprint it carries), ``discover_root``
 edge cases, statement-span pragma suppression, the REP005
-type-only-import regression tree, and parse-failure reporting.
+type-only-import regression tree, parse-failure reporting, and the
+CLI's report formats and flags.
 """
 
 import ast
@@ -20,11 +20,6 @@ import jsonschema
 import pytest
 
 from repro.lint import lint_paths, runner
-from repro.lint.baseline import (
-    BASELINE_FILENAME,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.findings import Finding, suppressions
 from repro.lint.runner import discover_root
 from repro.lint.sarif import to_sarif
@@ -62,156 +57,6 @@ def _write_tree(root, files):
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-
-
-# ----------------------------------------------------------------------
-# Incremental cache
-# ----------------------------------------------------------------------
-
-
-class TestIncrementalCache:
-    def _tree(self, tmp_path):
-        _write_tree(
-            tmp_path,
-            {
-                "PAPER.md": "Theorem 1 holds.\n",
-                "src/alpha.py": "import random\nx = random.random()\n",
-                "src/beta.py": "def f():\n    return 1\n",
-            },
-        )
-        return tmp_path
-
-    def test_second_run_reanalyzes_zero_files(self, tmp_path):
-        root = self._tree(tmp_path)
-        cache_dir = str(tmp_path / "cachedir")
-        first = lint_paths(
-            [str(root / "src")], cache=True, cache_dir=cache_dir
-        )
-        assert first.files_reanalyzed == 2
-        assert first.cache_hits == 0
-        second = lint_paths(
-            [str(root / "src")], cache=True, cache_dir=cache_dir
-        )
-        assert second.files_reanalyzed == 0
-        assert second.cache_hits == 2
-        # Findings identical across the cold and warm runs.
-        assert [f.to_dict() for f in second.findings] == [
-            f.to_dict() for f in first.findings
-        ]
-
-    def test_editing_one_file_reanalyzes_only_it(self, tmp_path):
-        root = self._tree(tmp_path)
-        cache_dir = str(tmp_path / "cachedir")
-        lint_paths([str(root / "src")], cache=True, cache_dir=cache_dir)
-        (root / "src" / "beta.py").write_text(
-            "def f():\n    return 2\n", encoding="utf-8"
-        )
-        rerun = lint_paths(
-            [str(root / "src")], cache=True, cache_dir=cache_dir
-        )
-        # One per-file cache hit survives; the whole tree is re-parsed
-        # because interprocedural facts can change from one edit.
-        assert rerun.cache_hits == 1
-
-    def test_rule_selection_invalidates_cache(self, tmp_path):
-        root = self._tree(tmp_path)
-        cache_dir = str(tmp_path / "cachedir")
-        lint_paths(
-            [str(root / "src")],
-            select=["REP001"],
-            cache=True,
-            cache_dir=cache_dir,
-        )
-        other = lint_paths(
-            [str(root / "src")],
-            select=["REP005"],
-            cache=True,
-            cache_dir=cache_dir,
-        )
-        assert other.cache_hits == 0
-
-    def test_corrupt_cache_discarded(self, tmp_path):
-        root = self._tree(tmp_path)
-        cache_dir = tmp_path / "cachedir"
-        cache_dir.mkdir()
-        (cache_dir / "cache.json").write_text("{not json", encoding="utf-8")
-        report = lint_paths(
-            [str(root / "src")], cache=True, cache_dir=str(cache_dir)
-        )
-        assert report.files_reanalyzed == 2
-        # And the bad file was replaced by a valid one.
-        json.loads((cache_dir / "cache.json").read_text(encoding="utf-8"))
-
-    def test_cache_disabled_by_default(self, tmp_path):
-        root = self._tree(tmp_path)
-        report = lint_paths([str(root / "src")])
-        assert report.cache_hits == 0
-        assert not (root / ".repro-cache").exists()
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        finding = Finding(
-            rule="REP007",
-            file="src/mod.py",
-            line=3,
-            col=0,
-            message="tainted",
-            symbol="mod.f",
-        )
-        path = tmp_path / BASELINE_FILENAME
-        assert write_baseline(path, [finding, finding]) == 1
-        assert load_baseline(path) == {finding.fingerprint()}
-
-    def test_unreadable_baseline_is_empty(self, tmp_path):
-        path = tmp_path / BASELINE_FILENAME
-        assert load_baseline(path) == set()
-        path.write_text("[]", encoding="utf-8")
-        assert load_baseline(path) == set()
-
-    def test_fingerprint_survives_line_shift(self):
-        a = Finding("REP007", "src/m.py", 3, 0, "msg", symbol="m.f")
-        b = Finding("REP007", "src/m.py", 40, 8, "msg", symbol="m.f")
-        c = Finding("REP007", "src/m.py", 3, 0, "other msg", symbol="m.f")
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
-
-    def test_baselined_findings_do_not_fail_the_run(self, tmp_path):
-        _write_tree(
-            tmp_path,
-            {
-                "PAPER.md": "Theorem 1 holds.\n",
-                "src/alpha.py": "import random\nx = random.random()\n",
-            },
-        )
-        dirty = lint_paths([str(tmp_path / "src")])
-        assert not dirty.ok
-        write_baseline(tmp_path / BASELINE_FILENAME, dirty.findings)
-        clean = lint_paths([str(tmp_path / "src")])
-        assert clean.ok
-        assert clean.baselined == len(dirty.findings)
-        # --no-baseline equivalent: explicit opt-out resurfaces them.
-        again = lint_paths([str(tmp_path / "src")], use_baseline=False)
-        assert not again.ok
-
-    def test_write_baseline_cli_exits_zero(self, tmp_path):
-        _write_tree(
-            tmp_path,
-            {
-                "PAPER.md": "Theorem 1 holds.\n",
-                "src/alpha.py": "import random\nx = random.random()\n",
-            },
-        )
-        proc = _run_cli("src", "--write-baseline", cwd=tmp_path)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert (tmp_path / BASELINE_FILENAME).is_file()
-        follow = _run_cli("src", cwd=tmp_path)
-        assert follow.returncode == 0, follow.stdout + follow.stderr
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +102,13 @@ class TestSarif:
         doc = json.loads(proc.stdout)
         jsonschema.validate(doc, schema)
         assert doc["version"] == "2.1.0"
+
+    def test_fingerprint_survives_line_shift(self):
+        a = Finding("REP007", "src/m.py", 3, 0, "msg", symbol="m.f")
+        b = Finding("REP007", "src/m.py", 40, 8, "msg", symbol="m.f")
+        c = Finding("REP007", "src/m.py", 3, 0, "other msg", symbol="m.f")
+        assert a.fingerprint() == b.fingerprint()
+        assert a.fingerprint() != c.fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -432,34 +284,50 @@ class TestParseFailures:
 
 
 class TestCliFormats:
-    def test_text_format_summary_reports_cache_counts(self, tmp_path):
+    def test_text_format_summary(self, tmp_path):
         _write_tree(
             tmp_path,
             {"PAPER.md": "x\n", "src/mod.py": "x = 1\n"},
         )
-        proc = _run_cli(
-            "src",
-            "--format",
-            "text",
-            "--cache",
-            "--cache-dir",
-            str(tmp_path / "cachedir"),
-            cwd=tmp_path,
-        )
+        proc = _run_cli("src", "--format", "text", cwd=tmp_path)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        proc2 = _run_cli(
-            "src",
-            "--format",
-            "text",
-            "--cache",
-            "--cache-dir",
-            str(tmp_path / "cachedir"),
-            cwd=tmp_path,
+        assert proc.stdout.strip() == (
+            "repro.lint: 1 files scanned, 0 finding(s)"
         )
-        assert "(0 analyzed, 1 cached)" in proc2.stdout
 
-    def test_json_report_carries_new_counters(self):
-        proc = _run_cli("src")
+    def test_json_report_keys(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {"PAPER.md": "x\n", "src/mod.py": "x = 1\n"},
+        )
+        proc = _run_cli("src", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
-        for key in ("files_reanalyzed", "cache_hits", "baselined"):
-            assert key in payload
+        assert set(payload) == {
+            "ok",
+            "files_scanned",
+            "rules_run",
+            "counts",
+            "findings",
+        }
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--cache"],
+            ["--cache-dir", "d"],
+            ["--baseline", "b.json"],
+            ["--no-baseline"],
+            ["--write-baseline"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_flag_is_a_usage_error(self, tmp_path, flag):
+        _write_tree(
+            tmp_path,
+            {"PAPER.md": "x\n", "src/mod.py": "x = 1\n"},
+        )
+        proc = _run_cli("src", *flag, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "unrecognized arguments" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["PAPER.md", "src"]

@@ -93,8 +93,6 @@ ALL_MODULES = [
     "repro.harness.sweep",
     "repro.harness.workloads",
     "repro.lint",
-    "repro.lint.baseline",
-    "repro.lint.cache",
     "repro.lint.callgraph",
     "repro.lint.findings",
     "repro.lint.interproc",

@@ -335,7 +335,6 @@ class TestWorkerEndpointContract:
         thread = ServerThread(worker.app)
         thread.start()
         yield thread.url
-        worker.close()
         thread.stop()
 
     def test_healthz(self, worker_url):
