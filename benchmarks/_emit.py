@@ -6,16 +6,21 @@ document per benchmark at the repo root carrying the exact
 configuration measured, the per-case results, and enough host context
 to interpret a regression.  ``make bench`` refreshes every artifact;
 CI's smoke job runs the scripts in ``--smoke`` mode and relies on
-:func:`validate` rejecting malformed documents.
+:func:`validate` rejecting malformed documents.  Cells that time a
+short operation use :func:`median_seconds`, the one timing rule they
+share.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import platform
+import statistics
 import sys
+import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -116,3 +121,37 @@ def emit(
     path = (out_dir or REPO_ROOT) / f"BENCH_{name}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
+
+
+#: Every case is timed as the median over ``SAMPLES`` samples of its
+#: seconds per call.  A sample repeats the case until it spans
+#: ``SAMPLE_SECONDS``, so a ~2 ms warm-cache read sits well above timer
+#: noise, and the cases are sampled round-robin, so a stretch of host
+#: load lands on a few samples of each case rather than on one case.
+SAMPLES = 21
+SAMPLE_SECONDS = 0.05
+
+
+def median_seconds(cases, *, samples=SAMPLES):
+    """One result row per ``(label, thunk)`` case, and the value each
+    thunk returned on its first (warm-up) call."""
+    values, repeats = {}, {}
+    for label, thunk in cases:
+        start = time.perf_counter()
+        values[label] = thunk()
+        once = time.perf_counter() - start
+        repeats[label] = max(1, math.ceil(SAMPLE_SECONDS / max(once, 1e-6)))
+    per_call = {label: [] for label, _ in cases}
+    for _ in range(samples):
+        for label, thunk in cases:
+            start = time.perf_counter()
+            for _ in range(repeats[label]):
+                thunk()
+            per_call[label].append(
+                (time.perf_counter() - start) / repeats[label]
+            )
+    rows = [
+        {"case": label, "seconds": round(statistics.median(per_call[label]), 6)}
+        for label, _ in cases
+    ]
+    return rows, values

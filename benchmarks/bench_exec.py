@@ -16,12 +16,9 @@ Two entry points:
 """
 
 import argparse
-import math
-import statistics
 import tempfile
-import time
 
-from _emit import emit, ensure_import_path
+from _emit import SAMPLE_SECONDS, SAMPLES, emit, ensure_import_path, median_seconds
 
 ensure_import_path()
 
@@ -95,40 +92,6 @@ def test_warm_cache_skips_execution(benchmark, tmp_path):
 # ----------------------------------------------------------------------
 
 
-#: Every case is timed as the median over ``SAMPLES`` samples of its
-#: seconds per call.  A sample repeats the case until it spans
-#: ``SAMPLE_SECONDS``, so a ~2 ms warm-cache read sits well above timer
-#: noise, and the cases are sampled round-robin, so a stretch of host
-#: load lands on a few samples of each case rather than on one case.
-SAMPLES = 21
-SAMPLE_SECONDS = 0.05
-
-
-def _median_seconds(cases, *, samples=SAMPLES):
-    """One result row per ``(label, thunk)`` case, and the value each
-    thunk returned on its first (warm-up) call."""
-    values, repeats = {}, {}
-    for label, thunk in cases:
-        start = time.perf_counter()
-        values[label] = thunk()
-        once = time.perf_counter() - start
-        repeats[label] = max(1, math.ceil(SAMPLE_SECONDS / max(once, 1e-6)))
-    per_call = {label: [] for label, _ in cases}
-    for _ in range(samples):
-        for label, thunk in cases:
-            start = time.perf_counter()
-            for _ in range(repeats[label]):
-                thunk()
-            per_call[label].append(
-                (time.perf_counter() - start) / repeats[label]
-            )
-    rows = [
-        {"case": label, "seconds": round(statistics.median(per_call[label]), 6)}
-        for label, _ in cases
-    ]
-    return rows, values
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="measure the execution substrate; write BENCH_exec.json"
@@ -157,7 +120,7 @@ def main(argv=None) -> int:
             executor.run_plan(plan)
             return executor
 
-        results, values = _median_seconds(
+        results, values = median_seconds(
             [
                 ("serial-batch", lambda: SerialExecutor().run_plan(plan)),
                 ("parallel-2-batch", run_parallel),

@@ -18,6 +18,8 @@ Comparison rules, per artifact:
   metric ``batch_trials_per_sec``, higher is better.
 * ``BENCH_exec.json`` — cells keyed by ``case``, metric ``seconds``,
   lower is better.
+* ``BENCH_service.json`` — cells keyed by ``case``, metric
+  ``seconds``, lower is better.
 
 Cells present only in the fresh document are *new* and pass (growing
 the grid must not require regenerating history); cells present only in
@@ -49,6 +51,7 @@ ARTIFACTS: Dict[str, Tuple[str, Tuple[str, ...], str, bool]] = {
         True,
     ),
     "BENCH_exec.json": ("bench_exec.py", ("case",), "seconds", False),
+    "BENCH_service.json": ("bench_service.py", ("case",), "seconds", False),
 }
 
 

@@ -30,10 +30,11 @@ parallelism), the result-cache knobs (``--cache``/``--no-cache``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro._math import (
     adversary_round_budget,
@@ -102,22 +103,38 @@ _GAMES = {
 # ----------------------------------------------------------------------
 
 
-def _make_executor(args: argparse.Namespace, *, cache_on: bool) -> Executor:
-    """Build the executor shared by run/sweep/experiments from flags."""
+@contextlib.contextmanager
+def _make_executor(args: argparse.Namespace, *, cache_on: bool) -> Iterator[Executor]:
+    """The executor shared by run/sweep/experiments, built from flags
+    and closed on exit.
+
+    ``--chaos`` is loaded first, so a broken plan file fails before the
+    run starts, and is exported as ``REPRO_CHAOS`` while the executor
+    runs: the variable reaches every chaos hook, in-process chunks, pool
+    workers (which inherit it) and parent-side cache corruption.  On
+    exit the variable gets back its earlier value, or is removed if it
+    had none, so later runs in the same process inject nothing.
+    """
     cache = ResultCache(args.cache_dir) if cache_on else None
-    if getattr(args, "chaos", None):
-        # Load the plan here so a broken plan file fails before the
-        # run starts.  The environment variable reaches every chaos
-        # hook: in-process chunks, pool workers (which inherit it) and
-        # parent-side cache corruption.
-        FaultPlan.load(args.chaos)
-        os.environ[CHAOS_ENV] = args.chaos
-    return make_executor(
-        args.workers,
-        cache=cache,
-        retry=RetryPolicy(max_attempts=args.retries + 1),
-        chunk_timeout=args.chunk_timeout,
-    )
+    chaos = getattr(args, "chaos", None)
+    earlier = os.environ.get(CHAOS_ENV)
+    if chaos:
+        FaultPlan.load(chaos)
+        os.environ[CHAOS_ENV] = chaos
+    try:
+        with make_executor(
+            args.workers,
+            cache=cache,
+            retry=RetryPolicy(max_attempts=args.retries + 1),
+            chunk_timeout=args.chunk_timeout,
+        ) as executor:
+            yield executor
+    finally:
+        if chaos:
+            if earlier is None:
+                del os.environ[CHAOS_ENV]
+            else:
+                os.environ[CHAOS_ENV] = earlier
 
 
 def _fault_model_params(
@@ -364,23 +381,22 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         ids = list(dict.fromkeys(i for value in args.only for i in value))
     else:
         ids = list(ALL_EXPERIMENTS)
-    executor = _make_executor(args, cache_on=not args.no_cache)
-    try:
-        for exp_id in ids:
-            table = ALL_EXPERIMENTS[exp_id](args.scale, executor=executor)
-            print(render_table(table))
-            print()
-        if executor.cache_hits or executor.cache_misses:
-            print(
-                f"cache: {executor.cache_hits} batch hit(s), "
-                f"{executor.cache_misses} miss(es)"
-            )
-        note = resilience_note(executor)
-        if note:
-            print(note)
-    finally:
-        executor.close()
-        lost = report_quarantined(executor)
+    with _make_executor(args, cache_on=not args.no_cache) as executor:
+        try:
+            for exp_id in ids:
+                table = ALL_EXPERIMENTS[exp_id](args.scale, executor=executor)
+                print(render_table(table))
+                print()
+            if executor.cache_hits or executor.cache_misses:
+                print(
+                    f"cache: {executor.cache_hits} batch hit(s), "
+                    f"{executor.cache_misses} miss(es)"
+                )
+            note = resilience_note(executor)
+            if note:
+                print(note)
+        finally:
+            lost = report_quarantined(executor)
     return 1 if lost else 0
 
 

@@ -21,10 +21,10 @@ It separates *what* to run from *how* to run it:
   retry, pool rebuild, quarantine — see
   :mod:`repro.harness.resilience`).
 * :mod:`repro.harness.exec.cache` — :class:`ResultCache`, the
-  content-addressed on-disk store (schema v3: final batch documents
-  plus a per-chunk partial ledger, each stamped with its outcome
-  digest) that makes interrupted sweeps and experiment grids resumable
-  at chunk granularity.
+  content-addressed on-disk store (schema v4: final batch documents
+  plus a per-chunk partial ledger, each holding its outcomes' canonical
+  encoding verbatim and that encoding's digest) that makes interrupted
+  sweeps and experiment grids resumable at chunk granularity.
 
 See ``docs/harness.md`` for the architecture and the seed-derivation
 compatibility note.

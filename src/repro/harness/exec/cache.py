@@ -22,10 +22,21 @@ Schema v3 makes every stored document *tamper-evident*: batch and
 chunk documents carry a ``digest`` — the canonical content hash of
 their outcomes (:func:`~repro.harness.exec.trial.outcomes_digest`,
 the same attestation digest workers compute in the service tier) —
-and loads recompute and compare it, so an entry whose outcome bytes
-were altered after the fact (a Byzantine worker's checkpoint, bit
-rot, a hand-edited file) reads as a miss instead of poisoning every
-future cache hit.
+and a load that cannot reproduce it reads as a miss, so an entry
+whose outcome bytes were altered after the fact (a Byzantine worker's
+checkpoint, bit rot, a hand-edited file) is recomputed instead of
+poisoning every future cache hit.
+
+Schema v4 stores the outcomes as they were encoded once: a document is
+one JSON object whose header members (keys sorted, ``digest`` among
+them) come first and whose last member, ``"outcomes"``, is the
+canonical encoding (:func:`~repro.harness.exec.trial.encode_outcomes`)
+spliced in verbatim.  A writer that already holds the encoding (the
+service's receipt check made it) passes it on, so nothing is encoded
+twice, and a load checks the digest against the outcomes text exactly
+as stored rather than encoding the parsed records again.  Text that is
+not byte-exact — re-serialised by another writer, edited, truncated —
+is a miss.
 
 Loads are defensive — any malformed, truncated, or mismatched
 document (batch or chunk) is treated as a miss, never an error.
@@ -66,18 +77,25 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 import repro
 from repro.errors import ConfigurationError
 from repro.harness.exec.spec import TrialBatch
-from repro.harness.exec.trial import TrialOutcome, outcomes_digest
+from repro.harness.exec.trial import TrialOutcome, encode_outcomes, encoding_digest
 
 __all__ = ["CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR", "ResultCache", "cache_salt"]
 
 #: Bumped whenever the stored document layout changes.
 #: v2: partial-batch chunk ledger alongside final batch documents.
 #: v3: tamper-evident outcome digests on batch and chunk documents.
-CACHE_SCHEMA_VERSION = 3
+#: v4: the canonical outcomes encoding stored verbatim as the last
+#:     member, and the digest checked against that text.
+CACHE_SCHEMA_VERSION = 4
 
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 
 _CHUNK_DOC_RE = re.compile(r"^chunk-(\d{8})-(\d{8})\.json$")
+
+#: What joins a document's header members to its outcomes, the last
+#: member.  JSON escapes every quote inside a string, so in a document
+#: this schema writes the first occurrence is that member.
+_OUTCOMES_MEMBER = ', "outcomes": '
 
 #: What validating a corrupt (well-formed JSON, wrong shape) document
 #: raises; anything else is a bug and propagates instead of reading as
@@ -151,39 +169,37 @@ class ResultCache:
         """The batch's cached outcomes, or ``None`` on any miss.
 
         A hit requires the schema version, salt, batch key, spec
-        fields, trial count, base seed, and outcome digest all to
-        match, and every outcome record to parse; anything else —
+        fields, trial count and base seed all to match, the digest to
+        be the hash of the outcomes text as stored, and every outcome
+        record to parse, in trial-index order; anything else —
         including a corrupt, tampered, or unreadable file, or one
         written under another schema or package version — is a miss.
         """
-        path = self.path_for(batch)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
+        stored = _read_doc(self.path_for(batch))
+        if stored is None:
             return None
+        header, text = stored
         try:
-            if doc["schema"] != CACHE_SCHEMA_VERSION:
+            if header["schema"] != CACHE_SCHEMA_VERSION:
                 return None
-            if doc["salt"] != cache_salt():
+            if header["salt"] != cache_salt():
                 return None
-            if doc["batch_key"] != batch.batch_key():
+            if header["batch_key"] != batch.batch_key():
                 return None
-            if doc["spec"] != _spec_doc(batch):
+            if header["spec"] != _spec_doc(batch):
                 return None
-            if doc["trials"] != batch.trials or doc["base_seed"] != batch.base_seed:
+            if header["trials"] != batch.trials or header["base_seed"] != batch.base_seed:
                 return None
-            records = doc["outcomes"]
+            if header["digest"] != encoding_digest(text):
+                return None  # tampered, bit-rotted or re-encoded: recompute
+            records = json.loads(text)
             if not isinstance(records, list) or len(records) != batch.trials:
                 return None
             outcomes = [TrialOutcome.from_jsonable(rec) for rec in records]
         except _CORRUPT_DOC:
             return None
-        outcomes.sort(key=lambda o: o.trial_index)
         if [o.trial_index for o in outcomes] != list(range(batch.trials)):
             return None
-        if doc.get("digest") != outcomes_digest(outcomes):
-            return None  # tampered or bit-rotted: recompute
         return outcomes
 
     def store(
@@ -200,7 +216,7 @@ class ResultCache:
         """
         if self._unwritable:
             return None
-        doc = {
+        header = {
             "schema": CACHE_SCHEMA_VERSION,
             "salt": cache_salt(),
             "batch_key": batch.batch_key(),
@@ -208,16 +224,12 @@ class ResultCache:
             "trials": batch.trials,
             "base_seed": batch.base_seed,
             "label": batch.label,
-            "digest": outcomes_digest(outcomes),
-            "outcomes": [
-                o.to_jsonable()
-                for o in sorted(outcomes, key=lambda o: o.trial_index)
-            ],
         }
+        text = _doc_text(header, encode_outcomes(outcomes))
         path = self.path_for(batch)
         with self._locked(batch):
             try:
-                written = self._write_doc(path, doc)
+                written = self._write_doc(path, text)
             except OSError as exc:
                 self._degrade(exc)
                 return None
@@ -229,28 +241,31 @@ class ResultCache:
         batch: TrialBatch,
         indices: Sequence[int],
         outcomes: List[TrialOutcome],
+        encoding: Optional[str] = None,
     ) -> Optional[Path]:
         """Checkpoint one completed chunk into the batch's ledger.
 
         The document is named after the index span it covers
         (``chunk-<first>-<last>.json``) and written atomically, so a
         crash at any instant leaves either a valid chunk document or
-        none.  Returns ``None`` on an empty chunk or a degraded cache.
+        none.  ``encoding`` is the outcomes'
+        :func:`~repro.harness.exec.trial.encode_outcomes` string when
+        the caller already made it; the chunk is encoded here only
+        without one.  Returns ``None`` on an empty chunk or a degraded
+        cache.
         """
         if self._unwritable or not indices:
             return None
         first, last = min(indices), max(indices)
-        doc = {
+        header = {
             "schema": CACHE_SCHEMA_VERSION,
             "salt": cache_salt(),
             "batch_key": batch.batch_key(),
             "indices": sorted(int(i) for i in indices),
-            "digest": outcomes_digest(outcomes),
-            "outcomes": [
-                o.to_jsonable()
-                for o in sorted(outcomes, key=lambda o: o.trial_index)
-            ],
         }
+        if encoding is None:
+            encoding = encode_outcomes(outcomes)
+        text = _doc_text(header, encoding)
         path = self.partial_dir(batch) / f"chunk-{first:08d}-{last:08d}.json"
         with self._locked(batch):
             if self.load(batch) is not None:
@@ -259,7 +274,7 @@ class ResultCache:
                 # document would only leave an orphan directory.
                 return None
             try:
-                return self._write_doc(path, doc)
+                return self._write_doc(path, text)
             except OSError as exc:
                 self._degrade(exc)
                 return None
@@ -334,20 +349,21 @@ class ResultCache:
         self, path: Path, batch: TrialBatch
     ) -> Optional[List[TrialOutcome]]:
         """One ledger document's outcomes, or ``None`` on any defect."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
+        stored = _read_doc(path)
+        if stored is None:
             return None
+        header, text = stored
         try:
-            if doc["schema"] != CACHE_SCHEMA_VERSION:
+            if header["schema"] != CACHE_SCHEMA_VERSION:
                 return None
-            if doc["salt"] != cache_salt():
+            if header["salt"] != cache_salt():
                 return None
-            if doc["batch_key"] != batch.batch_key():
+            if header["batch_key"] != batch.batch_key():
                 return None
-            indices = doc["indices"]
-            records = doc["outcomes"]
+            if header["digest"] != encoding_digest(text):
+                return None  # tampered, bit-rotted or re-encoded: recompute
+            indices = header["indices"]
+            records = json.loads(text)
             if not isinstance(indices, list) or not isinstance(records, list):
                 return None
             if len(indices) != len(records):
@@ -359,26 +375,17 @@ class ResultCache:
             return None
         if any(not 0 <= o.trial_index < batch.trials for o in outcomes):
             return None
-        if doc.get("digest") != outcomes_digest(outcomes):
-            # Pre-digest (v2) chunk docs also land here: the ledger is
-            # transient scratch, so the chunk is simply recomputed.
-            return None
         return outcomes
 
-    def _write_doc(self, path: Path, doc: Dict[str, Any]) -> Path:
-        """Atomic JSON write: temp file in the target dir, then rename.
-
-        The document is encoded in one ``json.dumps`` call, which takes
-        CPython's C encoder (``json.dump`` always runs the pure-Python
-        one); both emit the same bytes.
-        """
+    def _write_doc(self, path: Path, text: str) -> Path:
+        """Atomic write: temp file in the target dir, then rename."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=".tmp-", suffix=".json"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, sort_keys=True))
+                fh.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -403,6 +410,31 @@ class ResultCache:
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+def _doc_text(header: Dict[str, Any], encoding: str) -> str:
+    """A document's text: ``header``'s members and the encoding's
+    ``digest``, keys sorted, then ``encoding`` verbatim as the last
+    member, ``"outcomes"``."""
+    members = json.dumps({**header, "digest": encoding_digest(encoding)}, sort_keys=True)
+    return members[:-1] + _OUTCOMES_MEMBER + encoding + "}"
+
+
+def _read_doc(path: Path) -> Optional[Tuple[Any, str]]:
+    """A document's parsed header members and its outcomes text exactly
+    as stored, or ``None`` if the file is unreadable or not laid out as
+    :func:`_doc_text` writes.  The outcomes are left unparsed, for the
+    caller to parse once their digest has matched."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        cut = text.find(_OUTCOMES_MEMBER)
+        if cut < 0 or not text.endswith("}"):
+            return None
+        header = json.loads(text[:cut] + "}")
+    except (OSError, ValueError):
+        return None
+    return header, text[cut + len(_OUTCOMES_MEMBER) : -1]
 
 
 def _spec_doc(batch: TrialBatch) -> dict:

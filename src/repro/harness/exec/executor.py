@@ -52,7 +52,7 @@ from repro.harness.exec.spec import ExecutionPlan, TrialBatch, TrialSpec
 from repro.harness.exec.trial import (
     TrialOutcome,
     compute_chunk,
-    outcomes_digest,
+    encode_outcomes,
     runs_on_counts_engine,
 )
 from repro.harness.resilience import (
@@ -68,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.harness.runner import TrialStats
 
 __all__ = [
+    "ChunkResult",
     "ChunkScheduler",
     "Executor",
     "Lane",
@@ -76,10 +77,16 @@ __all__ = [
     "SerialExecutor",
     "make_executor",
     "run_chunk",
+    "run_local_chunk",
     "settle_future",
 ]
 
 Future = concurrent.futures.Future
+
+#: What a lane's future yields: a chunk's outcomes, and their
+#: :func:`~repro.harness.exec.trial.encode_outcomes` string when the
+#: lane made one on the way (``None`` otherwise).
+ChunkResult = Tuple[List[TrialOutcome], Optional[str]]
 
 
 def run_chunk(
@@ -105,6 +112,14 @@ def run_chunk(
     """
     inject_chunk_faults(indices, attempt)
     return compute_chunk(spec, base_seed, indices)
+
+
+def run_local_chunk(
+    spec: TrialSpec, base_seed: int, indices: Sequence[int], attempt: int
+) -> ChunkResult:
+    """:func:`run_chunk` as an in-process or pool lane's result: those
+    lanes make no encoding."""
+    return run_chunk(spec, base_seed, indices, attempt), None
 
 
 def settle_future(future: Future, fn: Callable[..., object], *args: object) -> None:
@@ -136,8 +151,8 @@ class Lane:
 
     def submit(
         self, batch: TrialBatch, indices: Sequence[int], attempt: int
-    ) -> "Future[List[TrialOutcome]]":
-        """Start one chunk; the future yields its outcomes."""
+    ) -> "Future[ChunkResult]":
+        """Start one chunk; the future yields its :data:`ChunkResult`."""
         raise NotImplementedError
 
     def failure_kind(self, exc: BaseException) -> Optional[str]:
@@ -166,9 +181,9 @@ class LocalLane(Lane):
 
     def submit(
         self, batch: TrialBatch, indices: Sequence[int], attempt: int
-    ) -> "Future[List[TrialOutcome]]":
-        future: "Future[List[TrialOutcome]]" = Future()
-        settle_future(future, run_chunk, batch.spec, batch.base_seed, indices, attempt)
+    ) -> "Future[ChunkResult]":
+        future: "Future[ChunkResult]" = Future()
+        settle_future(future, run_local_chunk, batch.spec, batch.base_seed, indices, attempt)
         return future
 
 
@@ -200,7 +215,9 @@ class ChunkScheduler:
         #: Queued chunk id -> monotonic time it may run, in queue order.
         self.waiting: Dict[int, float] = dict.fromkeys(range(len(chunks)), 0.0)
         self.in_flight: Dict[Future, Tuple[int, Lane]] = {}
-        self.results: Dict[int, List[TrialOutcome]] = {}
+        #: Collected chunk id -> its outcomes and their encoding, which
+        #: leave together when an audit purges the chunk.
+        self.results: Dict[int, ChunkResult] = {}
         self.produced_by: Dict[int, Lane] = {}
         self.unsaved: List[int] = []
 
@@ -244,7 +261,7 @@ class ChunkScheduler:
                 future.cancel()
             raise
         self._checkpoint()
-        return [o for outcomes in self.results.values() for o in outcomes]
+        return [o for outcomes, _ in self.results.values() for o in outcomes]
 
     def _dispatch(self, lanes: List[Lane], now: float) -> bool:
         """Hand chunks ready at ``now`` to lanes with room; True if any went out."""
@@ -299,19 +316,22 @@ class ChunkScheduler:
                     charges.append((cid, kind, error))
             lane.note_failure()
         self._charge(charges)
-        for cid, lane, outcomes in collected:
-            self._accept(cid, lane, outcomes, lane not in failed)
+        for cid, lane, result in collected:
+            self._accept(cid, lane, result, lane not in failed)
 
-    def _accept(
-        self, cid: int, lane: Lane, outcomes: List[TrialOutcome], counts: bool
-    ) -> None:
+    def _accept(self, cid: int, lane: Lane, result: ChunkResult, counts: bool) -> None:
         """Keep a returned chunk, auditing it first if its lane is untrusted."""
         indices = self.chunks[cid]
         if not lane.trusted and self.executor.audit.selects(self.key, indices):
             # The ground truth bypasses every chaos hook (see
             # repro.harness.resilience.audit).
             truth = compute_chunk(self.batch.spec, self.batch.base_seed, indices)
-            honest = outcomes_digest(truth) == outcomes_digest(outcomes)
+            truth_text = encode_outcomes(truth)
+            outcomes, encoding = result
+            # Equal canonical encodings are equal digests.
+            honest = truth_text == (
+                encoding if encoding is not None else encode_outcomes(outcomes)
+            )
             self.report.audited_chunks += 1
             lane.audited(honest)
             if not honest:
@@ -327,13 +347,13 @@ class ChunkScheduler:
                     if self.executor.cache is not None:
                         self.executor.cache.remove_chunk(self.batch, self.chunks[other])
                     self.waiting[other] = 0.0
-                self.results[cid] = truth
+                self.results[cid] = truth, truth_text
                 self.unsaved.append(cid)
                 return
         if counts:
             lane.note_success()
         self.produced_by[cid] = lane
-        self.results[cid] = outcomes
+        self.results[cid] = result
         self.unsaved.append(cid)
 
     def _charge(self, charges: List[Tuple[int, str, str]]) -> None:
@@ -374,7 +394,7 @@ class ChunkScheduler:
         cache = self.executor.cache
         for cid in self.unsaved:
             if cache is not None and cid in self.results:
-                cache.store_chunk(self.batch, self.chunks[cid], self.results[cid])
+                cache.store_chunk(self.batch, self.chunks[cid], *self.results[cid])
         self.unsaved = []
 
 
@@ -615,10 +635,10 @@ class ParallelExecutor(Executor, Lane):
 
     def submit(
         self, batch: TrialBatch, indices: Sequence[int], attempt: int
-    ) -> "Future[List[TrialOutcome]]":
+    ) -> "Future[ChunkResult]":
         if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool.submit(run_chunk, batch.spec, batch.base_seed, indices, attempt)
+        return self._pool.submit(run_local_chunk, batch.spec, batch.base_seed, indices, attempt)
 
     @property
     def out(self) -> bool:

@@ -46,6 +46,8 @@ __all__ = [
     "TrialOutcome",
     "batch_outcomes",
     "compute_chunk",
+    "encode_outcomes",
+    "encoding_digest",
     "execute_reference_trial",
     "outcomes_digest",
     "run_spec_batch",
@@ -209,26 +211,42 @@ class TrialOutcome:
             ) from exc
 
 
-def outcomes_digest(outcomes: Sequence[TrialOutcome]) -> str:
-    """Canonical content hash of a set of outcomes (hex sha256).
+def encode_outcomes(outcomes: Sequence[TrialOutcome]) -> str:
+    """The canonical JSON encoding of a set of outcomes.
 
-    The attestation primitive of the service tier: sha256 over the
-    sorted-by-trial-index outcome records serialised as canonical JSON
-    (sorted keys, no whitespace).  Because every outcome is a pure
-    function of ``(base_seed, spec_hash, trial_index)``, any honest
-    party — the worker that computed a chunk, the executor receiving
-    it, an auditor re-executing it later — derives the *same* digest
-    for the same work, so a digest mismatch is proof of corruption or
-    a lie, never of nondeterminism.  Records are canonicalised through
-    ``to_jsonable`` (not raw wire bytes), so cosmetic differences such
-    as key order or extra keys cannot change the digest.
+    One JSON array of the ``to_jsonable`` records in trial-index order,
+    with sorted keys and no whitespace.  It is the one encoding of the
+    result path: :func:`outcomes_digest` hashes it, and the result
+    cache stores it verbatim as a document's outcomes.
     """
     records = [
         o.to_jsonable()
         for o in sorted(outcomes, key=lambda o: o.trial_index)
     ]
-    material = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return json.dumps(records, sort_keys=True, separators=(",", ":"))
+
+
+def outcomes_digest(outcomes: Sequence[TrialOutcome]) -> str:
+    """Canonical content hash of a set of outcomes (hex sha256).
+
+    The attestation primitive of the service tier: the sha256 of
+    :func:`encode_outcomes`.  Because every outcome is a pure function
+    of ``(base_seed, spec_hash, trial_index)``, any honest party — the
+    worker that computed a chunk, the executor receiving it, an auditor
+    re-executing it later — derives the *same* digest for the same
+    work, so a digest mismatch is proof of corruption or a lie, never
+    of nondeterminism.  Records are canonicalised through
+    ``to_jsonable`` (not raw wire bytes), so cosmetic differences such
+    as key order or extra keys cannot change the digest.  A party that
+    already holds the encoding hashes it with :func:`encoding_digest`
+    instead of encoding again.
+    """
+    return encoding_digest(encode_outcomes(outcomes))
+
+
+def encoding_digest(encoding: str) -> str:
+    """The hex sha256 of an :func:`encode_outcomes` string."""
+    return hashlib.sha256(encoding.encode("utf-8")).hexdigest()
 
 
 def execute_reference_trial(

@@ -250,8 +250,8 @@ class _ObservedCache(ResultCache):
         super().__init__(root)
         self._job = job
 
-    def store_chunk(self, batch, indices, outcomes):  # type: ignore[override]
-        path = super().store_chunk(batch, indices, outcomes)
+    def store_chunk(self, batch, indices, outcomes, encoding=None):  # type: ignore[override]
+        path = super().store_chunk(batch, indices, outcomes, encoding)
         self._job.note_chunk(len(indices))
         return path
 

@@ -32,9 +32,13 @@ waiting out a wedged worker.  What is the HTTP lane's own:
   ``pool_failure_limit`` times is permanently out.
 * **Outcome attestation** — every ``/chunks`` response carries the
   worker's ``chunk_digest`` (:func:`~repro.harness.exec.trial.
-  outcomes_digest`); the lane recomputes it over the received
-  outcomes, so transport corruption or an *inconsistent* lie is
-  rejected on receipt and charged as an ordinary worker failure.
+  outcomes_digest`); the lane encodes the received outcomes once
+  (:func:`~repro.harness.exec.trial.encode_outcomes`) and checks the
+  digest against that encoding, so transport corruption or an
+  *inconsistent* lie is rejected on receipt and charged as an ordinary
+  worker failure.  The encoding travels on with the outcomes: the audit
+  compares it with the local truth's, and the chunk's ledger document
+  stores it as it is.
 * **Audit re-execution** — the scheduler recomputes a deterministic,
   plan-keyed sample of completed chunks (:class:`~repro.harness.
   resilience.audit.AuditPolicy`) locally; a digest mismatch proves the
@@ -54,8 +58,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.exec import ResultCache, TrialBatch, TrialOutcome
-from repro.harness.exec.executor import Executor, Lane, settle_future
-from repro.harness.exec.trial import outcomes_digest
+from repro.harness.exec.executor import ChunkResult, Executor, Lane, settle_future
+from repro.harness.exec.trial import encode_outcomes, encoding_digest
 from repro.harness.exec.wire import WIRE_VERSION, spec_to_wire
 from repro.harness.resilience import (
     BatchReport,
@@ -89,11 +93,11 @@ class WorkerEndpoint(Lane):
 
     def submit(
         self, batch: TrialBatch, indices: Sequence[int], attempt: int
-    ) -> "concurrent.futures.Future[List[TrialOutcome]]":
+    ) -> "concurrent.futures.Future[ChunkResult]":
         # An open breaker's cooldown is over once the scheduler calls:
         # this chunk is its half-open probe.
         self.breaker.begin_probe()
-        future: "concurrent.futures.Future[List[TrialOutcome]]" = concurrent.futures.Future()
+        future: "concurrent.futures.Future[ChunkResult]" = concurrent.futures.Future()
         # Mark it running, as an executor would, so a cancel leaves it
         # alone rather than make the thread's set_result raise.
         future.set_running_or_notify_cancel()
@@ -125,8 +129,12 @@ class WorkerEndpoint(Lane):
 
     def _post_chunk(
         self, batch: TrialBatch, indices: Sequence[int], attempt: int
-    ) -> List[TrialOutcome]:
-        """Execute one chunk on this worker; raises on any defect."""
+    ) -> ChunkResult:
+        """Execute one chunk on this worker; raises on any defect.
+
+        Returns the outcomes with the canonical encoding the receipt
+        check made of them.
+        """
         payload = {
             "wire": WIRE_VERSION,
             "spec": spec_to_wire(batch.spec),
@@ -165,12 +173,13 @@ class WorkerEndpoint(Lane):
         # corruption and *inconsistent* lies for free; a worker lying
         # consistently (digesting its own lie) passes here and is the
         # audit layer's problem.
-        if doc.get("chunk_digest") != outcomes_digest(outcomes):
+        encoding = encode_outcomes(outcomes)
+        if doc.get("chunk_digest") != encoding_digest(encoding):
             raise ServiceUnreachable(
                 f"worker {self.url} attestation failed: chunk_digest "
                 "does not match the returned outcomes"
             )
-        return outcomes
+        return outcomes, encoding
 
 
 class RemoteExecutor(Executor):

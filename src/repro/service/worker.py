@@ -17,7 +17,7 @@ Endpoints:
   responds ``{"outcomes": [<trial outcome>, ...], "chunk_digest":
   <hex sha256>}`` where the digest is the outcome attestation
   (:func:`repro.harness.exec.trial.outcomes_digest`) the caller
-  recomputes on receipt.
+  checks on receipt.
 * ``GET /healthz`` — liveness probe with version info.
 
 Chunks execute off the event loop, on the default thread pool; an

@@ -36,6 +36,7 @@ from repro.harness.exec import (
     TrialBatch,
     TrialSpec,
 )
+from repro.harness.exec import trial as trial_module
 from repro.harness.exec.trial import outcomes_digest
 from repro.harness.resilience import (
     AuditPolicy,
@@ -140,6 +141,23 @@ class TestAttestation:
         assert cache.load(batch) is None
         assert json.loads(path.read_text()) == doc
 
+    def test_v3_document_is_a_miss(self, tmp_path):
+        # A schema-3 document, as its writer laid it out (one sorted
+        # json.dumps of the whole document), carries the same digest but
+        # not the schema-4 layout: it is recomputed, never served or
+        # upgraded in place.
+        batch = small_batch()
+        cache = ResultCache(tmp_path / "cache")
+        cache.store(batch, serial_outcomes(batch))
+        path = cache.path_for(batch)
+        doc = json.loads(path.read_text())
+        doc["schema"] = 3
+        doc["salt"] = f"{repro.__version__}/schema3"
+        text = json.dumps(doc, sort_keys=True)
+        path.write_text(text)
+        assert cache.load(batch) is None
+        assert path.read_text() == text
+
     def test_wrong_receipt_digest_is_rejected(self, monkeypatch, tmp_path):
         # A worker whose attestation does not match its outcomes is
         # treated as a failed endpoint: never trusted, results
@@ -168,6 +186,44 @@ class TestAttestation:
         assert summary[0]["quarantined"] is True
         assert summary[0]["chunks_completed"] == 0
         assert remote.reports[-1].degraded_to_serial
+
+    def test_each_chunk_is_encoded_once_and_a_hit_never(self, monkeypatch, tmp_path):
+        # Two workers, one 2-chunk batch: each worker encodes its
+        # response's digest, the receipt encodes what it received and
+        # hands that to the ledger, and the batch document is encoded
+        # once.  Loading the stored batch encodes nothing.
+        encoded = []
+        original = trial_module.encode_outcomes
+
+        def counting(outcomes):
+            encoded.append(len(outcomes))
+            return original(outcomes)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "encode_outcomes", None) is original:
+                monkeypatch.setattr(module, "encode_outcomes", counting)
+        batch = small_batch(trials=4)
+        threads = [start_worker(WorkerApp()) for _ in range(2)]
+
+        def run():
+            with RemoteExecutor(
+                [t.url for t in threads],
+                cache=ResultCache(tmp_path / "cache"),
+                chunk_size=2,
+            ) as remote:
+                return remote.run_outcomes(batch), remote.cache_hits
+
+        try:
+            computed, hits = run()
+            assert hits == 0
+            assert sorted(encoded) == [2, 2, 2, 2, 4]
+            cached, hits = run()
+            assert hits == 1
+            assert len(encoded) == 5
+        finally:
+            for t in threads:
+                t.stop()
+        assert computed == cached == serial_outcomes(batch)
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +358,51 @@ class TestByzantineDifferential:
         truth = serial_outcomes(batch)
         assert [o.rounds for o in outcomes] == [o.rounds + 1 for o in truth]
         assert remote.reports[-1].audit_mismatches == 0
+
+    def test_lie_never_reaches_the_ledger(self, monkeypatch, tmp_path):
+        # The liar's first chunk is caught and settles with the local
+        # truth and the truth's encoding; the rest run in-process and
+        # are encoded from their own outcomes.  Each ledger document
+        # and the batch document hold the bytes a serial run writes.
+        batch = small_batch(trials=6)
+        expected = serial_outcomes(batch)
+        serial_cache = ResultCache(tmp_path / "serial")
+        SerialExecutor(cache=serial_cache).run_outcomes(batch)
+        chunk_cache = ResultCache(tmp_path / "chunks")
+        ledger = []
+        store_chunk = ResultCache.store_chunk
+
+        def recording_store_chunk(cache, *args):
+            path = store_chunk(cache, *args)
+            if cache is not chunk_cache:
+                ledger.append((list(args[1]), path.read_bytes()))
+            return path
+
+        monkeypatch.setattr(ResultCache, "store_chunk", recording_store_chunk)
+        liar = WorkerApp(fault_plan=liar_plan(batch.trials))
+        thread = start_worker(liar)
+        try:
+            remote = RemoteExecutor(
+                [thread.url],
+                cache=ResultCache(tmp_path / "cache"),
+                chunk_size=2,
+                retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
+                audit_fraction=1.0,
+                audit_seed="ledger",
+            )
+            with remote:
+                remote.run_outcomes(batch)
+        finally:
+            thread.stop()
+        assert remote.reports[-1].audit_mismatches == 1
+        assert sorted(indices for indices, _ in ledger) == [[0, 1], [2, 3], [4, 5]]
+        for indices, stored in ledger:
+            truth = [expected[i] for i in indices]
+            assert stored == chunk_cache.store_chunk(batch, indices, truth).read_bytes()
+        assert (
+            remote.cache.path_for(batch).read_bytes()
+            == serial_cache.path_for(batch).read_bytes()
+        )
 
     def test_corrupt_outcomes_hook_negates_verdicts(self):
         batch = small_batch(trials=3)

@@ -204,6 +204,28 @@ class TestMain:
         assert main([*sweep, "--chaos", str(path)]) == 0
         assert capsys.readouterr().out == clean
 
+    @pytest.mark.parametrize("before", [None, "earlier-plan.json"])
+    def test_chaos_flag_leaves_the_environment_as_it_found_it(
+        self, before, capsys, monkeypatch, tmp_path
+    ):
+        # Setting the variable first makes monkeypatch restore it
+        # afterwards, even where the command leaks its plan.
+        monkeypatch.setenv(CHAOS_ENV, "")
+        if before is None:
+            monkeypatch.delenv(CHAOS_ENV)
+        else:
+            monkeypatch.setenv(CHAOS_ENV, before)
+        path = FaultPlan(faults=(Fault(kind="raise", trial=99),)).dump(
+            tmp_path / "plan.json"
+        )
+        code = main([
+            "run", "--protocol", "synran", "--adversary", "benign",
+            "--n", "8", "--t", "8", "--trials", "2", "--chaos", str(path),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        assert os.environ.get(CHAOS_ENV) == before
+
     def test_experiments_subset(self, capsys):
         code = main(["experiments", "--only", "E4"])
         assert code == 0

@@ -3,6 +3,7 @@ spec hashing and seed derivation, builder coverage, executor
 worker-count invariance, and the on-disk result cache."""
 
 import hashlib
+import json
 import pickle
 
 import pytest
@@ -354,10 +355,10 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         with monkeypatch.context() as patch:
             patch.setattr(repro, "__version__", "1.0.0")
-            assert cache_module.cache_salt() == "1.0.0/schema3"
+            assert cache_module.cache_salt() == "1.0.0/schema4"
             SerialExecutor(cache=cache).run_outcomes(batch)
             assert cache.load(batch) is not None
-        assert cache_module.cache_salt() != "1.0.0/schema3"
+        assert cache_module.cache_salt() != "1.0.0/schema4"
         assert cache.load(batch) is None
 
     def test_plan_resume_skips_completed_cells(self, tmp_path):
@@ -376,26 +377,26 @@ class TestResultCache:
 
 
 class TestCacheDocumentBytes:
-    """Stored documents keep the exact bytes of earlier writers.
+    """Stored documents keep the exact bytes of the schema-4 writer.
 
-    The sha256 pins were captured from files written by the earlier
-    ``json.dump(doc, fh, sort_keys=True)`` writer, so every entry
-    already on disk still reads back and still hits.  They change only
-    with a deliberate schema, version or outcome change.
+    The sha256 pins were captured from files written by the schema-4
+    writer: the header members with sorted keys, then the canonical
+    outcomes encoding spliced in verbatim as the last member.  They
+    change only with a deliberate schema, version or outcome change.
     """
 
     PINS = {
         "reference": (
-            "2d5d8e8f42e715680690040c91e0796dd7c15b328a9b05de514adf60e35b9496",
-            "27d800c6ba71b388332fab5631d7fe36ec0a9c8486c44c0ff81442827c022cfb",
+            "5fa7f0df5181ffef22f453f82e077f61bcac3c63395eeae1f3624038ba347260",
+            "7c8372cfe507fce3ea5f9831b2bce03458450fcd9c9e7b3c51944d4860379263",
         ),
         "batch": (
-            "5ea66475a9203f857c9470fd95714ca8cc46f1c78e4d545c3670138df9e23877",
-            "b515515ed8edab1752e77b2e535780fd1ae15e55db2697abb59f32104a1f21b6",
+            "10a764b45c11e7c29a04a1a16a0a328ad02bdd64971f8e1ec967cf01a61eac47",
+            "696cdbb7e13d98814879fcf1a4349ed691ac36a54521bb93f5d508bb7cea8268",
         ),
         "batch2d": (
-            "f0d2bed050302f06eeb15e52c1acc7bdbbcd392a603c42063d65761cf4086a34",
-            "0e054ce6d4f37dd4845d04b77813bc5bb8437dc8f35e5854504a1add20c99155",
+            "a112c2b52a9ff881f4ca13f62e4ceb106a04e8c72d52df096a06131bcd45675e",
+            "31320f530b6fa6ae060bbea74ba92172e82e9508f49a8b4018172198b6a49549",
         ),
     }
 
@@ -426,6 +427,57 @@ class TestCacheDocumentBytes:
         ).hexdigest()
         assert (batch_sha, chunk_sha) == self.PINS[kind]
         assert cache.load(batch) == outcomes
+
+
+class TestCacheDocumentText:
+    """A document's digest covers its outcomes text exactly as stored:
+    text that still parses to outcomes but is not the writer's own
+    bytes is a miss, for batch and chunk documents alike."""
+
+    @staticmethod
+    def stored(entry, tmp_path):
+        """``(path, outcomes, hit)`` for one stored ``entry``:
+        ``hit()`` reads the outcomes back, or gives None on a miss."""
+        batch = TrialBatch(spec=tally_spec(), trials=4, base_seed=3, label="text")
+        outcomes = trial_module.compute_chunk(
+            batch.spec, batch.base_seed, range(batch.trials)
+        )
+        cache = ResultCache(tmp_path)
+        if entry == "batch":
+            path = cache.store(batch, outcomes)
+            return path, outcomes, lambda: cache.load(batch)
+
+        path = cache.store_chunk(batch, [0, 1], outcomes[:2])
+
+        def hit():
+            salvaged, docs = cache.load_partial(batch)
+            return [salvaged[i] for i in sorted(salvaged)] if docs else None
+
+        return path, outcomes[:2], hit
+
+    @pytest.mark.parametrize("entry", ["batch", "chunk"])
+    def test_one_changed_digit_in_the_outcomes_is_a_miss(self, entry, tmp_path):
+        path, outcomes, hit = self.stored(entry, tmp_path)
+        assert hit() == outcomes
+        text = path.read_text()
+        start = text.index('"outcomes": ')
+        # The last digit of the first trial's round count: the record
+        # still parses, to a different number of rounds.
+        digit = text.index(",", text.index('"rounds":', start)) - 1
+        changed = str((int(text[digit]) + 1) % 10)
+        path.write_text(text[:digit] + changed + text[digit + 1 :])
+        doc = json.loads(path.read_text())
+        assert doc["digest"] == json.loads(text)["digest"]
+        assert doc["outcomes"][0]["rounds"] != outcomes[0].rounds
+        assert hit() is None
+
+    @pytest.mark.parametrize("entry", ["batch", "chunk"])
+    def test_reserialised_document_is_a_miss(self, entry, tmp_path):
+        path, outcomes, hit = self.stored(entry, tmp_path)
+        text = path.read_text()
+        path.write_text(json.dumps(json.loads(text), sort_keys=True))
+        assert json.loads(path.read_text()) == json.loads(text)
+        assert hit() is None
 
 
 class TestTrialOutcome:
