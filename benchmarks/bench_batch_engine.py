@@ -1,34 +1,41 @@
-"""Trial-throughput benchmark for the counts-level BatchFastEngine.
+"""Trial-throughput benchmark for the vectorized engines.
 
-The batch engine's reason to exist is raw trial throughput, so this is
-the repo's headline perf artifact: for each (adversary, n) cell it
-times one ``BatchFastEngine.run`` call over a fixed trial count and
-records trials/sec in ``BENCH_batch_engine.json``.
+The vectorized engines' reason to exist is raw trial throughput, so
+this is the repo's headline perf artifact: for each (adversary, n)
+cell it times one engine ``run`` call over a fixed trial count and
+records trials/sec in ``BENCH_batch_engine.json``.  Every cell is the
+median of round-robin samples (:func:`_emit.median_seconds`), so a
+stretch of host load lands on a few samples of each cell rather than
+on one cell.
 
 Run with::
 
     python benchmarks/bench_batch_engine.py           # full measurement
     python benchmarks/bench_batch_engine.py --smoke   # CI: seconds, tiny n
 
-The adaptive cells (tally-attack, valency-keeper — the adversaries
+The counts cells run on ``BatchFastEngine`` on alternating inputs.
+The adaptive ones (tally-attack, valency-keeper — the adversaries
 whose per-round decisions read live tallies) run both population axes
 (n in {100, 1000}) and carry the acceptance bar: at n=1000 each stays
 within 5x of the benign cell's throughput (the adversary path must not
-dominate the round step).  Smoke mode keeps the same document shape at
-toy sizes so CI can assert the artifact stays well-formed without
-paying for the measurement.
+dominate the round step).  The ``partition`` cells run the mask path
+on ``Batch2DEngine``: one 128-trial chunk of synran x partition at
+t = n on the worst-case split, the chunk ``sweep-2d`` runs, at
+n in {256, 1024, 4096}.  Smoke mode keeps the same document shape at
+toy sizes (one partition cell included) so CI can assert the artifact
+stays well-formed without paying for the measurement.
 """
 
 from __future__ import annotations
 
 import argparse
-import time
 from typing import Dict, List, Tuple
 
-from _emit import emit, ensure_import_path
+from _emit import SAMPLE_SECONDS, SAMPLES, emit, ensure_import_path, median_seconds
 
 ensure_import_path()
 
+from repro.harness.workloads import worst_case_split  # noqa: E402
 from repro.protocols import SynRanProtocol  # noqa: E402
 from repro.sim.batch import (  # noqa: E402
     BatchBenign,
@@ -37,35 +44,40 @@ from repro.sim.batch import (  # noqa: E402
     BatchTallyAttack,
     BatchValencyKeeper,
 )
+from repro.sim.batch2d import Batch2DEngine, Batch2DPartition  # noqa: E402
 
-#: adversary name -> factory taking t.  ``tally-attack`` and
-#: ``valency-keeper`` are the *adaptive* cells: their decisions depend
-#: on live tallies, so they stress the vectorized adversary path (the
-#: benign/random cells only stress the round step itself).
+
+def _alternating(n: int) -> List[int]:
+    return [i % 2 for i in range(n)]
+
+
+#: adversary name -> (engine, factory taking t, inputs taking n).
+#: ``tally-attack`` and ``valency-keeper`` are the *adaptive* cells:
+#: their decisions depend on live tallies, so they stress the
+#: vectorized adversary path (the benign/random cells only stress the
+#: round step itself).  ``partition`` is the mask path.
 _ADVERSARIES = {
-    "benign": lambda t: BatchBenign(),
-    "random": lambda t: BatchRandomCrash(t, rate=0.1),
-    "tally-attack": lambda t: BatchTallyAttack(t),
-    "valency-keeper": lambda t: BatchValencyKeeper(t),
+    "benign": (BatchFastEngine, lambda t: BatchBenign(), _alternating),
+    "random": (
+        BatchFastEngine,
+        lambda t: BatchRandomCrash(t, rate=0.1),
+        _alternating,
+    ),
+    "tally-attack": (BatchFastEngine, BatchTallyAttack, _alternating),
+    "valency-keeper": (BatchFastEngine, BatchValencyKeeper, _alternating),
+    "partition": (Batch2DEngine, Batch2DPartition, worst_case_split),
 }
 
 
-def _measure_cell(name: str, n: int, trials: int) -> Dict[str, object]:
-    engine = BatchFastEngine(
-        SynRanProtocol(), _ADVERSARIES[name](n), n, strict_termination=False
+def _cell(name: str, n: int, trials: int):
+    """A thunk running one ``(name, n)`` batch of ``trials`` trials."""
+    engine_class, adversary, inputs = _ADVERSARIES[name]
+    engine = engine_class(
+        SynRanProtocol(), adversary(n), n, strict_termination=False
     )
-    inputs = [i % 2 for i in range(n)]
+    bits = inputs(n)
     seeds = list(range(trials))
-    start = time.perf_counter()
-    engine.run(inputs, seeds)
-    seconds = time.perf_counter() - start
-    return {
-        "adversary": name,
-        "n": n,
-        "batch_trials": trials,
-        "batch_seconds": round(seconds, 6),
-        "batch_trials_per_sec": round(trials / seconds, 1),
-    }
+    return lambda: engine.run(bits, seeds)
 
 
 def _grid(smoke: bool) -> List[Tuple[str, int, int]]:
@@ -75,6 +87,7 @@ def _grid(smoke: bool) -> List[Tuple[str, int, int]]:
             ("benign", 64, 200),
             ("tally-attack", 64, 100),
             ("valency-keeper", 64, 100),
+            ("partition", 64, 128),
         ]
     return [
         ("benign", 100, 10_000),
@@ -84,6 +97,9 @@ def _grid(smoke: bool) -> List[Tuple[str, int, int]]:
         ("tally-attack", 1000, 10_000),
         ("valency-keeper", 100, 10_000),
         ("valency-keeper", 1000, 10_000),
+        ("partition", 256, 128),
+        ("partition", 1024, 128),
+        ("partition", 4096, 128),
     ]
 
 
@@ -96,17 +112,41 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    results = [
-        _measure_cell(name, n, trials) for name, n, trials in _grid(args.smoke)
+    grid = _grid(args.smoke)
+    samples = 1 if args.smoke else SAMPLES
+    timed, _ = median_seconds(
+        [(f"{name}/n={n}", _cell(name, n, trials)) for name, n, trials in grid],
+        samples=samples,
+    )
+    results: List[Dict[str, object]] = [
+        {
+            "adversary": name,
+            "n": n,
+            "engine": _ADVERSARIES[name][0].__name__,
+            "batch_trials": trials,
+            "batch_seconds": row["seconds"],
+            "batch_trials_per_sec": round(trials / row["seconds"], 1),
+        }
+        for (name, n, trials), row in zip(grid, timed)
     ]
     path = emit(
         "batch_engine",
         config={
-            "inputs": "alternating bits (i % 2)",
+            "inputs": (
+                "alternating bits (i % 2); partition cells: the "
+                "worst-case split (repro.harness.workloads.worst_case_split)"
+            ),
             "protocol": "synran",
             "t": "n (full resilience budget)",
-            "batch_engine": "repro.sim.batch.BatchFastEngine",
+            "engines": {
+                "partition": "repro.sim.batch2d.Batch2DEngine",
+                "other cells": "repro.sim.batch.BatchFastEngine",
+            },
             "headline_cell": {"adversary": "benign", "n": 1000},
+            "seconds": (
+                f"median of {samples} round-robin samples of "
+                f">= {SAMPLE_SECONDS} s each"
+            ),
         },
         results=results,
         smoke=args.smoke,
@@ -115,7 +155,7 @@ def main(argv=None) -> int:
     for row in results:
         print(
             f"{row['adversary']:>14} n={row['n']:<5} "
-            f"batch {row['batch_trials_per_sec']:>10.1f}/s"
+            f"{row['engine']:>15} {row['batch_trials_per_sec']:>10.1f}/s"
         )
     print(f"wrote {path}")
 

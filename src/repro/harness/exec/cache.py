@@ -366,6 +366,8 @@ class ResultCache:
             records = json.loads(text)
             if not isinstance(indices, list) or not isinstance(records, list):
                 return None
+            if any(type(i) is not int for i in indices):
+                return None  # the digest does not cover the header
             if len(indices) != len(records):
                 return None
             outcomes = [TrialOutcome.from_jsonable(rec) for rec in records]

@@ -294,24 +294,35 @@ def execute_reference_trial(
 def batch_outcomes(
     result: BatchResult, indices: Sequence[int], seeds: Sequence[int]
 ) -> List[TrialOutcome]:
-    """One :class:`TrialOutcome` per slot of a vectorized engine's result."""
-    outcomes = []
-    for slot, (index, seed) in enumerate(zip(indices, seeds)):
-        trial = result.trial(slot)
-        outcomes.append(
-            TrialOutcome(
-                trial_index=index,
-                seed=seed,
-                rounds=trial.rounds,
-                decision_round=trial.decision_round,
-                timeout=trial.decision_round is None,
-                crashes=trial.crashes_used,
-                decision=trial.decision,
-                crashes_per_round=trial.crashes_per_round,
-                senders_per_round=trial.senders_per_round,
-            )
+    """One :class:`TrialOutcome` per slot of a vectorized engine's result.
+
+    Reads each column once: the per-trial fields as lists, the ``(R,
+    M)`` histories as one list per trial, cut to its own ``rounds``.
+    """
+    columns = zip(
+        indices,
+        seeds,
+        result.rounds.tolist(),
+        result.decision_round.tolist(),
+        result.decision.tolist(),
+        result.crashes_used.tolist(),
+        result.crashes_per_round.T.tolist(),
+        result.senders_per_round.T.tolist(),
+    )
+    return [
+        TrialOutcome(
+            trial_index=index,
+            seed=seed,
+            rounds=rounds,
+            decision_round=None if decided < 0 else decided,
+            timeout=decided < 0,
+            crashes=crashes,
+            decision=None if value < 0 else value,
+            crashes_per_round=crashed[:rounds],
+            senders_per_round=sent[:rounds],
         )
-    return outcomes
+        for index, seed, rounds, decided, value, crashes, crashed, sent in columns
+    ]
 
 
 def run_spec_batch(

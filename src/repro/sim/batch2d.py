@@ -11,6 +11,14 @@ flood set, decision) is an ``(M, n)`` array, victim selection is a
 boolean mask, and deliveries may carry a per-recipient mask, so M
 trials times n processes advance in one NumPy operation per round.
 
+The per-receiver tallies never need ``(M, n)`` integers: a decision
+carries one ``recipients`` mask per trial, so in any round a receiver
+hears one of two counts, the common deliveries or those plus the
+after-send victims' last messages.  Tallies are held per trial with
+the mask that tells them apart (:class:`_Tally`), every protocol test
+runs on those per-trial counts, and only its bool result is spread
+over the receivers.
+
 Adversaries return a :class:`Batch2DDecision`: explicit ``(M, n)``
 victim masks, optionally split into silent victims and after-send
 victims plus one shared per-recipient delivery mask per trial.  This
@@ -40,13 +48,16 @@ counts adversary's trajectories bit for bit.
 from __future__ import annotations
 
 import abc
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._math import deterministic_stage_threshold
 from repro.errors import ConfigurationError
+from repro.protocols.synran import SynRanProtocol
 from repro.sim.batch import (
     STAGE_DETERMINISTIC,
     STAGE_PROBABILISTIC,
@@ -158,6 +169,19 @@ class Batch2DPartition(Batch2DAdversary):
                 f"fraction must be in (0, 1), got {fraction}"
             )
         self.fraction = fraction
+        self._shared: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _shared_masks(self, M: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The read-only ``(silent, recipients)`` masks of every round:
+        one object each, so the engine sees the same recipients mask
+        in every round's tallies."""
+        if self._shared is None or self._shared[1].shape != (M, n):
+            silent = np.zeros((M, n), dtype=bool)
+            recipients = np.zeros((M, n), dtype=bool)
+            recipients[:, : min(n, max(1, int(round(self.fraction * n))))] = True
+            silent.flags.writeable = recipients.flags.writeable = False
+            self._shared = (silent, recipients)
+        return self._shared
 
     def choose(self, view: Batch2DView) -> Batch2DDecision:
         M, n = view.senders.shape
@@ -167,23 +191,144 @@ class Batch2DPartition(Batch2DAdversary):
             & (view.sender_count > 1)
             & (view.trial_stage == STAGE_PROBABILISTIC)
         )
+        # The first sender of each eligible row (argmax finds the first
+        # True; a row without senders has none to pick).
+        rows = np.flatnonzero(eligible)
+        first = view.senders[rows].argmax(axis=1)
         after = np.zeros((M, n), dtype=bool)
-        if eligible.any():
-            first = view.senders & (np.cumsum(view.senders, axis=1) == 1)
-            after[eligible] = first[eligible]
-        cut = min(n, max(1, int(round(self.fraction * n))))
-        recipients = np.zeros((M, n), dtype=bool)
-        recipients[:, :cut] = True
+        after[rows, first] = view.senders[rows, first]
+        silent, recipients = self._shared_masks(M, n)
         return Batch2DDecision(
-            silent=np.zeros((M, n), dtype=bool),
-            after_send=after,
-            recipients=recipients,
+            silent=silent, after_send=after, recipients=recipients
         )
 
 
 def _row_count(mask: np.ndarray) -> np.ndarray:
     """``mask.sum(axis=1)`` as int64, accumulated in int32 (faster)."""
     return mask.sum(axis=1, dtype=np.int32).astype(np.int64)
+
+
+class _Tally(NamedTuple):
+    """One round's count per receiver, held per trial.
+
+    Every receiver of trial ``i`` hears ``full[i]`` messages; the
+    receivers in ``mask`` (the round's ``recipients`` mask, ``None``
+    when no message was split) hear ``split[i]`` more.  ``full`` and
+    ``split`` are ``(M, 1)`` int64 columns.
+    """
+
+    full: np.ndarray
+    split: np.ndarray
+    mask: Optional[np.ndarray] = None
+
+
+def _select(mask: np.ndarray, out: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """``inside`` on the receivers in ``mask``, ``out`` elsewhere.
+
+    Bool ops only (``np.where`` on bools is many times slower); when
+    the two agree on every row the result keeps ``out``'s shape.
+    """
+    diff = out ^ inside
+    if not diff.any():
+        return out
+    return out ^ (mask & diff)
+
+
+def _per_receiver(
+    test: Callable[..., Tuple[np.ndarray, ...]], *tallies: _Tally
+) -> Tuple[np.ndarray, ...]:
+    """``test`` applied to every receiver's counts of ``tallies``.
+
+    ``test`` maps one ``(M, 1)`` count column per tally to a tuple of
+    ``(M, 1)`` bool columns.  A receiver's counts depend only on which
+    of the tallies' masks it is in, so ``test`` runs once per
+    combination of the distinct masks (at most ``2**len(tallies)``
+    times) and each result is spread over the receivers.  A result is
+    ``(M, n)`` where a mask splits it and ``(M, 1)`` otherwise; both
+    broadcast against the engine's ``(M, n)`` state.
+    """
+    # Distinct masks by identity, in first-seen order.
+    masks = list(
+        {id(t.mask): t.mask for t in tallies if t.mask is not None}.values()
+    )
+    slot = {id(m): k for k, m in enumerate(masks)}
+    results = [
+        test(
+            *(
+                t.full + t.split
+                if t.mask is not None and inside[slot[id(t.mask)]]
+                else t.full
+                for t in tallies
+            )
+        )
+        for inside in itertools.product((False, True), repeat=len(masks))
+    ]
+    # Combinations run in product order, so the first mask splits the
+    # list in halves: out of it, then in it.
+    for mask in masks:
+        half = len(results) // 2
+        results = [
+            tuple(_select(mask, o, i) for o, i in zip(out, inside))
+            for out, inside in zip(results[:half], results[half:])
+        ]
+    return results[0]
+
+
+def _heard(count: np.ndarray) -> Tuple[np.ndarray]:
+    """A receiver heard someone (STOP, finish), or heard a 1 or a 0
+    (flooding)."""
+    return (count > 0,)
+
+
+def _below(threshold: int, received: np.ndarray) -> Tuple[np.ndarray]:
+    """The deterministic handoff: fewer than ``threshold`` messages."""
+    return (received < threshold,)
+
+
+def _stable(
+    stop_fraction: float,
+    prev3: np.ndarray,
+    received: np.ndarray,
+    prev2: np.ndarray,
+) -> Tuple[np.ndarray]:
+    """STOP's stability test, ``N^{r-3} - N^r <= stop_fraction * N^{r-2}``."""
+    return (prev3 - received <= prev2 * stop_fraction,)
+
+
+def _cascade(
+    proto: SynRanProtocol,
+    rcv1: np.ndarray,
+    rcv0: np.ndarray,
+    prev1: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The threshold cascade, first matching branch winning:
+    ``(to_one, to_zero, decided, coin)``."""
+    dec1 = rcv1 > proto.decide_hi * prev1
+    prop1 = ~dec1 & (rcv1 > proto.propose_hi * prev1)
+    rem = ~(dec1 | prop1)
+    if proto.one_side_bias:
+        bias = rem & (rcv0 == 0)
+        rem &= ~bias
+    else:
+        bias = np.zeros_like(rem)
+    dec0 = rem & (rcv1 < proto.decide_lo * prev1)
+    rem &= ~dec0
+    prop0 = rem & (rcv1 < proto.propose_lo * prev1)
+    return dec1 | prop1 | bias, dec0 | prop0, dec1 | dec0, rem & ~prop0
+
+
+def _lowest_stage(stage: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    """Each trial's lowest sender stage, ``STAGE_DETERMINISTIC`` for a
+    trial without senders (``(M,)`` int8)."""
+    return np.where(
+        (senders & (stage == STAGE_PROBABILISTIC)).any(axis=1),
+        STAGE_PROBABILISTIC,
+        np.where(
+            (senders & (stage == STAGE_SYNC)).any(axis=1),
+            STAGE_SYNC,
+            STAGE_DETERMINISTIC,
+        ),
+    ).astype(np.int8)
 
 
 class Batch2DEngine(VectorizedEngine):
@@ -193,16 +338,13 @@ class Batch2DEngine(VectorizedEngine):
     :class:`~repro.sim.batch.VectorizedEngine`'s; the adversary is a
     :class:`Batch2DAdversary`.
 
-    Per-process state (bits, stages, flags, decisions) is always
+    Per-process state (bits, stages, flags, flood sets, decisions) is
     ``(M, n)``.  The per-receiver tallies (the round's ones and zeros
     received, and the three-round history of totals that the cascade
-    and STOP rule read) are held per *trial*, ``(M, 1)``, while every
-    receiver of a trial hears the same broadcasts: in every round
-    without a recipient split.  A round whose after-send victims reach
-    only a ``recipients`` mask makes that round's tallies per
-    *process*, ``(M, n)``.  The history keeps them for the three
-    rounds it looks back, then narrows again.  NumPy broadcasting runs
-    both shapes through the same code.
+    and STOP rule read) are :class:`_Tally` values: per-trial counts
+    plus the round's ``recipients`` mask.  Each protocol test runs on
+    the per-trial counts, once per combination of the masks it reads,
+    and only its bool result is spread over the receivers.
     """
 
     _unrealised = (
@@ -239,15 +381,18 @@ class Batch2DEngine(VectorizedEngine):
         det_has1 = np.zeros((M, n), dtype=bool)
 
         # Per-receiver N^{r-1}/N^{r-2}/N^{r-3} for cascade and STOP.
-        # Each is (M, 1) while every receiver of a trial heard the same
-        # broadcasts, (M, n) for three rounds after a split delivery;
-        # never written in place, so the shift below can alias them.
-        prev1 = prev2 = prev3 = np.full((M, 1), n, dtype=np.int32)
+        prev1 = prev2 = prev3 = _Tally(
+            np.full((M, 1), n, dtype=np.int64), np.zeros((M, 1), np.int64)
+        )
 
         omission = self.fault_model.counts_kind == COUNTS_OMISSION
         lag = self.fault_model.lag
         threshold = deterministic_stage_threshold(n)
         det_total = proto.det_stage_rounds(n)
+
+        below = functools.partial(_below, threshold)
+        stable = functools.partial(_stable, proto.stop_fraction)
+        branches = functools.partial(_cascade, proto)
 
         for r in run.round_indices():
             senders = alive & ~halted & active[:, None]
@@ -255,12 +400,6 @@ class Batch2DEngine(VectorizedEngine):
             ones_mask = senders & (b == 1)
             s1 = _row_count(ones_mask)
             s0 = p - s1
-            trial_stage = np.min(
-                stage,
-                axis=1,
-                where=senders,
-                initial=STAGE_DETERMINISTIC,
-            ).astype(np.int8)
             view = Batch2DView(
                 round_index=r,
                 n=n,
@@ -269,7 +408,7 @@ class Batch2DEngine(VectorizedEngine):
                 bits=b,
                 tentative=tent,
                 alive=alive,
-                trial_stage=trial_stage,
+                trial_stage=_lowest_stage(stage, senders),
                 sender_count=p,
                 budget_remaining=run.budget_remaining(),
                 received_history=tuple(run.received),
@@ -305,7 +444,7 @@ class Batch2DEngine(VectorizedEngine):
             killed0 = injected - killed1
             if not omission:
                 alive &= ~silent
-            a1 = a0 = 0
+            a1 = a0 = np.zeros(M, dtype=np.int64)
             rmask = None
             if after is not None:
                 a1 = _row_count(after & ones_mask)
@@ -315,22 +454,25 @@ class Batch2DEngine(VectorizedEngine):
                 if not omission:
                     alive &= ~after
                 if dec.recipients is not None and a_all.any():
+                    # The tally history holds the mask for three rounds:
+                    # copy one the adversary could still write to.
                     rmask = dec.recipients
+                    if rmask.flags.writeable:
+                        rmask = rmask.copy()
             run.charge(injected, p)
 
             # Delivery: the common full broadcasts reach every receiver
-            # of a trial, so its tallies stay (M, 1).  After-send
-            # victims' last messages reach only the recipient mask,
-            # which widens them to (M, n) for this round.
+            # of a trial; after-send victims' last messages reach only
+            # the recipients mask.
             f1 = s1 - killed1 - a1
             f0 = s0 - killed0 - a0
             run.received.append(f1 + f0)
-            rcv1 = f1.astype(np.int32)[:, None]
-            rcv0 = f0.astype(np.int32)[:, None]
-            if rmask is not None:
-                rcv1 = np.where(rmask, rcv1 + a1[:, None].astype(np.int32), rcv1)
-                rcv0 = np.where(rmask, rcv0 + a0[:, None].astype(np.int32), rcv0)
-            received = rcv1 + rcv0
+            rcv1 = _Tally(f1[:, None], a1[:, None], rmask)
+            rcv0 = _Tally(f0[:, None], a0[:, None], rmask)
+            received = _Tally(
+                rcv1.full + rcv0.full, rcv1.split + rcv0.split, rmask
+            )
+            (heard,) = _per_receiver(_heard, received)
 
             receivers = alive & ~halted & active[:, None]
 
@@ -340,45 +482,33 @@ class Batch2DEngine(VectorizedEngine):
             syncm = receivers & (stage == STAGE_SYNC)
             det = receivers & (stage == STAGE_DETERMINISTIC)
             if proto.det_handoff:
-                handoff = prob & (received < threshold)
-                stage[handoff] = STAGE_SYNC
+                (low,) = _per_receiver(below, received)
+                handoff = prob & low
+                np.copyto(stage, STAGE_SYNC, where=handoff)
                 prob_cont = prob & ~handoff
             else:
                 prob_cont = prob
 
             # STOP rule for tentative deciders (needs a live receiver).
-            stop_cand = prob_cont & tent & (received > 0)
+            stop_cand = prob_cont & tent & heard
             cascade = prob_cont
             if stop_cand.any():
-                stopped = stop_cand & (
-                    prev3 - received <= prev2 * proto.stop_fraction
-                )
-                decision[stopped] = b[stopped]
+                (steady,) = _per_receiver(stable, prev3, received, prev2)
+                stopped = stop_cand & steady
+                np.copyto(decision, b, where=stopped)
                 halted |= stopped
                 tent &= ~stop_cand
                 cascade = prob_cont & ~stopped
 
-            # Threshold cascade (first matching branch wins).
             if cascade.any():
-                rem = cascade.copy()
-                b_dec1 = rem & (rcv1 > proto.decide_hi * prev1)
-                rem &= ~b_dec1
-                b_prop1 = rem & (rcv1 > proto.propose_hi * prev1)
-                rem &= ~b_prop1
-                if proto.one_side_bias:
-                    b_bias = rem & (rcv0 == 0)
-                    rem &= ~b_bias
-                else:
-                    b_bias = np.zeros((M, n), dtype=bool)
-                b_dec0 = rem & (rcv1 < proto.decide_lo * prev1)
-                rem &= ~b_dec0
-                b_prop0 = rem & (rcv1 < proto.propose_lo * prev1)
-                flip = rem & ~b_prop0
-
+                to_one, to_zero, decided, coin = _per_receiver(
+                    branches, rcv1, rcv0, prev1
+                )
                 # Bits are 0/1, so in-place or/and set and clear them.
-                b |= b_dec1 | b_prop1 | b_bias
-                b &= ~(b_dec0 | b_prop0)
-                tent |= b_dec1 | b_dec0
+                b |= cascade & to_one
+                b &= ~(cascade & to_zero)
+                tent |= cascade & decided
+                flip = cascade & coin
                 if flip.any():
                     # Rank j (pid order) reads bit j of the round's
                     # word block: the exact bit set fair_binomial
@@ -392,28 +522,30 @@ class Batch2DEngine(VectorizedEngine):
                         axis=1,
                         bitorder="little",
                     )
-                    ranked = (
-                        np.arange(coins.shape[1]) < _row_count(flip)[:, None]
-                    )
+                    ranked = np.arange(
+                        coins.shape[1], dtype=np.int32
+                    ) < flip.sum(axis=1, dtype=np.int32)[:, None]
                     b[flip] = coins[ranked]
 
             # SYNC: one-round delay — inbox ignored, bits frozen, flood
             # set starts empty.
             if syncm.any():
-                stage[syncm] = STAGE_DETERMINISTIC
-                det_rounds[syncm] = 0
-                det_has0[syncm] = False
-                det_has1[syncm] = False
+                np.copyto(stage, STAGE_DETERMINISTIC, where=syncm)
+                np.copyto(det_rounds, 0, where=syncm)
+                det_has0 &= ~syncm
+                det_has1 &= ~syncm
 
             # Deterministic flooding over the two frozen bit values.
             if det.any():
-                det_has1 |= det & (rcv1 > 0)
-                det_has0 |= det & (rcv0 > 0)
-                det_rounds[det] += 1
-                finish = det & (det_rounds >= det_total) & (received > 0)
+                (saw1,) = _per_receiver(_heard, rcv1)
+                (saw0,) = _per_receiver(_heard, rcv0)
+                det_has1 |= det & saw1
+                det_has0 |= det & saw0
+                det_rounds += det
+                finish = det & (det_rounds >= det_total) & heard
                 if finish.any():
                     # Decide 0 if a 0 was seen, else 1 if a 1 was.
-                    decision[finish] = det_has1[finish] & ~det_has0[finish]
+                    np.copyto(decision, det_has1 & ~det_has0, where=finish)
                     halted |= finish
 
             prev3, prev2, prev1 = prev2, prev1, received

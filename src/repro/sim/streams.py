@@ -62,8 +62,9 @@ _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
+#: ``_LOW_BITS[k]`` keeps a word's low ``k`` bits, ``0 <= k <= 64``.
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 
 #: ``2**-53``: scales a 53-bit integer into ``[0, 1)``.
 _INV53 = float(2.0**-53)
@@ -144,27 +145,21 @@ def fair_binomial(
     """Exact ``Binomial(counts[i], 1/2)`` per trial.
 
     Generates ``counts[i]`` hashed bits for trial ``i`` (64 per word,
-    the last word masked to the remainder) and popcounts them.  Word
+    the last word masked to the remainder, later words masked out) and
+    popcounts the whole ``(M, width)`` word block in one pass.  Word
     ``j`` of trial ``i`` sits at stream position ``counter + j``, so
     the caller must advance ``counter`` by at least
     ``ceil(max_count / 64)`` between independent draws (the batch
     engine strides by round index).
     """
     counts = np.asarray(counts, dtype=np.int64)
-    result = np.zeros(counts.shape, dtype=np.int64)
     max_count = int(counts.max()) if counts.size else 0
     if max_count <= 0:
-        return result
+        return np.zeros(counts.shape, dtype=np.int64)
     width = (max_count + 63) // 64
     words = counter_words(keys, counter, width)
-    for j in range(width):
-        nbits = np.clip(counts - 64 * j, 0, 64)
-        partial = np.where(nbits == 64, 0, nbits).astype(np.uint64)
-        mask = np.where(
-            nbits == 64, _FULL, (_ONE << partial) - _ONE
-        )
-        result += _popcount(words[:, j] & mask)
-    return result
+    nbits = np.clip(counts[:, None] - 64 * np.arange(width), 0, 64)
+    return _popcount(words & _LOW_BITS[nbits]).sum(axis=1)
 
 
 def binomial(
